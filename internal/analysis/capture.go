@@ -150,6 +150,35 @@ func captureConfig(rc RunConfig) RunConfig {
 	return rc
 }
 
+// ProfileKey addresses the profiles one run renders: a digest over the
+// trace format version, the program, the canonical capture
+// configuration (captureConfig), and the sampling knobs Interval,
+// Jitter, and Seed. Like the capture key it leaves out Scale, which is
+// already baked into the program, and the checkpoint knobs, which never
+// change a capture's bytes. Technique derives each technique's key from
+// it, so a job keying several techniques hashes its program once.
+type ProfileKey tracestore.Key
+
+// NewProfileKey derives the profile key of running p under rc.
+//
+//tealint:cachekey
+func NewProfileKey(p *program.Program, rc RunConfig) ProfileKey {
+	h := tracestore.NewHasher()
+	h.Key(captureKey(p, captureConfig(rc)))
+	h.Uint(rc.Interval)
+	h.Uint(rc.Jitter)
+	h.Uint(rc.Seed)
+	return ProfileKey(h.Sum())
+}
+
+// Technique returns the key of the named technique's rendered profile.
+func (k ProfileKey) Technique(name string) tracestore.Key {
+	h := tracestore.NewHasher()
+	h.Key(tracestore.Key(k))
+	h.String(name)
+	return h.Sum()
+}
+
 // capturedTrace returns the encoded trace and run statistics for
 // (p, rc), simulating only if no store tier holds the capture.
 // Concurrent callers of the same key share one simulation. The

@@ -173,6 +173,65 @@ func TestCaptureKeyProgramSensitivity(t *testing.T) {
 	}
 }
 
+// TestCaptureKeyGolden pins two capture keys as hex, so a change to the
+// Hasher (its buffering, say) that altered the byte stream it hashes —
+// and with it every key a disk tier holds — fails here. mcf at scale
+// 0.25 exercises a 32,768-word data image; exchange2 at 4 iterations
+// has none.
+func TestCaptureKeyGolden(t *testing.T) {
+	rc := DefaultRunConfig()
+	rc.Scale = 0.25
+	mcf, err := workloads.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := workloads.ByName("exchange2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		p    *program.Program
+		want string
+	}{
+		{mcf.Build(rc.iters(mcf)), "5540e9c988015c06d187620e7ba25e775c4db711ba482223894336c337f3ab2d"},
+		{ex.Build(4), "baacf5594bdc27aa5259a0b2ca1f8da8c50925b9631dc42a59eae491e59683df"},
+	} {
+		if got := captureKey(tc.p, captureConfig(rc)).String(); got != tc.want {
+			t.Errorf("%s: capture key %s, want %s", tc.p.Name, got, tc.want)
+		}
+	}
+}
+
+// TestProfileKeyFieldSensitivity is the reflection walk of
+// TestCaptureKeyFieldSensitivity for the profile memo's key: every
+// RunConfig leaf must move it except Scale (already in the program) and
+// the checkpoint knobs (never in a capture's bytes), which must not.
+// The program and the technique name must move it too.
+func TestProfileKeyFieldSensitivity(t *testing.T) {
+	rc := testRC()
+	_, p := testProgram(t, rc)
+	base := NewProfileKey(p, rc)
+	ignored := map[string]bool{"Scale": true, "CheckpointInterval": true, "CaptureWorkers": true}
+	for _, path := range leafFieldPaths(reflect.TypeOf(rc), nil) {
+		mutated := rc
+		v := reflect.ValueOf(&mutated).Elem().FieldByIndex(path.index)
+		if !bumpValue(v) {
+			t.Fatalf("field %s: unsupported kind %s — extend bumpValue", path.name, v.Kind())
+		}
+		if moved := NewProfileKey(p, mutated) != base; moved == ignored[path.name] {
+			t.Errorf("mutating RunConfig.%s: key moved = %v, want %v", path.name, moved, !ignored[path.name])
+		}
+	}
+	q := *p
+	q.Name += "x"
+	if NewProfileKey(&q, rc) == base {
+		t.Error("profile key is not sensitive to the program")
+	}
+	if base.Technique("tea") == base.Technique("ibs") {
+		t.Error("profile key is not sensitive to the technique")
+	}
+}
+
 // TestCaptureSharedAcrossSamplingKnobs pins the tentpole dedup insight:
 // the captured stream is sampling-independent, so configs differing
 // only in Interval/Jitter/Seed/Scale share one capture.

@@ -107,17 +107,6 @@ type BenchRun struct {
 	// the remaining techniques are complete and trustworthy. The
 	// fault-free path always leaves the map empty.
 	Errors map[string]error
-
-	// finish materializes the technique profiles once attribution is
-	// complete (dense accumulators flush lazily), skipping any
-	// technique recorded in Errors.
-	finish func()
-}
-
-// techniqueNames labels suiteProbes' probes, in construction order.
-// The names key BenchRun.Errors and the chaos harness's reports.
-var techniqueNames = []string{
-	"golden", "tea", "nci-tea", "ibs", "spe", "ris", "counters", "events", "stalls",
 }
 
 // Techniques returns the sampled techniques' profiles in evaluation
@@ -126,67 +115,149 @@ func (br *BenchRun) Techniques() []*pics.Profile {
 	return []*pics.Profile{br.IBS, br.SPE, br.RIS, br.NCITEA, br.TEA}
 }
 
+// Profile returns the named technique's profile ("golden", "tea",
+// "nci-tea", "ibs", "spe", "ris"), or nil when the run did not produce
+// it: the technique was not run, failed, or yields no profile.
+func (br *BenchRun) Profile(name string) *pics.Profile {
+	t := techniqueByName(name)
+	if t == nil || t.profile == nil {
+		return nil
+	}
+	return *t.profile(br)
+}
+
 // RunBenchmark simulates one workload with every technique attached.
 func RunBenchmark(w workloads.Workload, rc RunConfig) *BenchRun {
 	return RunProgram(w, w.Build(rc.iters(w)), rc)
 }
 
-// suiteProbes builds the nine evaluation probes for one run. A non-nil
-// core wires the probes for live attachment; with a nil core the TEA
-// units accumulate against prog (the replay path).
-func suiteProbes(c *cpu.CPU, p *program.Program, rc RunConfig) (probes []cpu.Probe, br *BenchRun) {
-	goldenCfg := core.Config{Set: events.TEASet, EveryCycle: true, Prog: p}
-	golden := core.NewTEA(c, goldenCfg)
-	teaCfg := core.DefaultConfig()
-	teaCfg.IntervalCycles = rc.Interval
-	teaCfg.JitterCycles = rc.Jitter
-	teaCfg.Seed = rc.Seed
-	teaCfg.Prog = p
-	tea := core.NewTEA(c, teaCfg)
-	nci := profilers.NewNCITEA(rc.Interval, rc.Jitter, rc.Seed+1)
-	ibs := profilers.NewIBS(rc.Interval, rc.Jitter, rc.Seed+2)
-	spe := profilers.NewSPE(rc.Interval, rc.Jitter, rc.Seed+3)
-	ris := profilers.NewRIS(rc.Interval, rc.Jitter, rc.Seed+4)
-	counters := profilers.NewCounters()
-	eventStats := profilers.NewEventStats()
-	stalls := profilers.NewStallProbe()
+// technique is one entry of the technique registry: a named probe, how
+// to build it for a run, and where its result lands in a BenchRun.
+type technique struct {
+	name string
+	// probe builds the technique's probe. A non-nil core wires it for
+	// live attachment; with a nil core the TEA units accumulate against
+	// p (the replay path).
+	probe func(c *cpu.CPU, p *program.Program, rc RunConfig) cpu.Probe
+	// profile locates the BenchRun field a profiling technique's PICS
+	// profile lands in; nil for the statistics probes.
+	profile func(br *BenchRun) **pics.Profile
+	// stats stores a statistics probe in its BenchRun field.
+	stats func(br *BenchRun, pr cpu.Probe)
+}
 
-	br = &BenchRun{
-		Program: p, Counters: counters, Events: eventStats, Stalls: stalls,
-		Errors: map[string]error{},
+// profiler is a probe that materializes a PICS profile.
+type profiler interface {
+	Profile() *pics.Profile
+}
+
+// techniques is the registry, in evaluation order. Each sampled
+// technique draws its sample clock from its own seed offset (Seed,
+// Seed+1 … Seed+4), so the techniques sample decorrelated cycles
+// whether they replay together or alone.
+var techniques = []technique{
+	{name: "golden",
+		probe: func(c *cpu.CPU, p *program.Program, _ RunConfig) cpu.Probe {
+			return core.NewTEA(c, core.Config{Set: events.TEASet, EveryCycle: true, Prog: p})
+		},
+		profile: func(br *BenchRun) **pics.Profile { return &br.Golden }},
+	{name: "tea",
+		probe: func(c *cpu.CPU, p *program.Program, rc RunConfig) cpu.Probe {
+			cfg := core.DefaultConfig()
+			cfg.IntervalCycles = rc.Interval
+			cfg.JitterCycles = rc.Jitter
+			cfg.Seed = rc.Seed
+			cfg.Prog = p
+			return core.NewTEA(c, cfg)
+		},
+		profile: func(br *BenchRun) **pics.Profile { return &br.TEA }},
+	{name: "nci-tea",
+		probe: func(_ *cpu.CPU, _ *program.Program, rc RunConfig) cpu.Probe {
+			return profilers.NewNCITEA(rc.Interval, rc.Jitter, rc.Seed+1)
+		},
+		profile: func(br *BenchRun) **pics.Profile { return &br.NCITEA }},
+	{name: "ibs",
+		probe: func(_ *cpu.CPU, _ *program.Program, rc RunConfig) cpu.Probe {
+			return profilers.NewIBS(rc.Interval, rc.Jitter, rc.Seed+2)
+		},
+		profile: func(br *BenchRun) **pics.Profile { return &br.IBS }},
+	{name: "spe",
+		probe: func(_ *cpu.CPU, _ *program.Program, rc RunConfig) cpu.Probe {
+			return profilers.NewSPE(rc.Interval, rc.Jitter, rc.Seed+3)
+		},
+		profile: func(br *BenchRun) **pics.Profile { return &br.SPE }},
+	{name: "ris",
+		probe: func(_ *cpu.CPU, _ *program.Program, rc RunConfig) cpu.Probe {
+			return profilers.NewRIS(rc.Interval, rc.Jitter, rc.Seed+4)
+		},
+		profile: func(br *BenchRun) **pics.Profile { return &br.RIS }},
+	{name: "counters",
+		probe: func(*cpu.CPU, *program.Program, RunConfig) cpu.Probe { return profilers.NewCounters() },
+		stats: func(br *BenchRun, pr cpu.Probe) { br.Counters = pr.(*profilers.Counters) }},
+	{name: "events",
+		probe: func(*cpu.CPU, *program.Program, RunConfig) cpu.Probe { return profilers.NewEventStats() },
+		stats: func(br *BenchRun, pr cpu.Probe) { br.Events = pr.(*profilers.EventStats) }},
+	{name: "stalls",
+		probe: func(*cpu.CPU, *program.Program, RunConfig) cpu.Probe { return profilers.NewStallProbe() },
+		stats: func(br *BenchRun, pr cpu.Probe) { br.Stalls = pr.(*profilers.StallProbe) }},
+}
+
+// techniqueByName returns the registry entry for name, or nil.
+func techniqueByName(name string) *technique {
+	for i := range techniques {
+		if techniques[i].name == name {
+			return &techniques[i]
+		}
 	}
-	probes = []cpu.Probe{golden, tea, nci, ibs, spe, ris, counters, eventStats, stalls}
-	br.finish = func() {
-		failed := func(name string) bool { _, bad := br.Errors[name]; return bad }
-		if !failed("golden") {
-			br.Golden = golden.Profile()
-		}
-		if !failed("tea") {
-			br.TEA = tea.Profile()
-		}
-		if !failed("nci-tea") {
-			br.NCITEA = nci.Profile()
-		}
-		if !failed("ibs") {
-			br.IBS = ibs.Profile()
-		}
-		if !failed("spe") {
-			br.SPE = spe.Profile()
-		}
-		if !failed("ris") {
-			br.RIS = ris.Profile()
-		}
-		if failed("counters") {
-			br.Counters = nil
-		}
-		if failed("events") {
-			br.Events = nil
-		}
-		if failed("stalls") {
-			br.Stalls = nil
+	return nil
+}
+
+// ProfileTechniques returns the names of the techniques that produce a
+// PICS profile, in evaluation order.
+func ProfileTechniques() []string {
+	var names []string
+	for _, t := range techniques {
+		if t.profile != nil {
+			names = append(names, t.name)
 		}
 	}
-	return probes, br
+	return names
+}
+
+// selectTechniques resolves names to registry entries in evaluation
+// order; an unknown name is a typed ErrInvalidConfig.
+func selectTechniques(names []string) ([]technique, error) {
+	want := make(map[string]bool, len(names))
+	for _, name := range names {
+		if techniqueByName(name) == nil {
+			return nil, simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{Technique: name},
+				"unknown technique %q", name)
+		}
+		want[name] = true
+	}
+	var sel []technique
+	for _, t := range techniques {
+		if want[t.name] {
+			sel = append(sel, t)
+		}
+	}
+	return sel, nil
+}
+
+// land materializes each selected technique's result into br once
+// attribution is complete (dense accumulators flush lazily), skipping
+// any technique recorded in br.Errors.
+func (br *BenchRun) land(sel []technique, probes []cpu.Probe) {
+	for i, t := range sel {
+		if _, failed := br.Errors[t.name]; failed {
+			continue
+		}
+		if t.profile != nil {
+			*t.profile(br) = probes[i].(profiler).Profile()
+		} else {
+			t.stats(br, probes[i])
+		}
+	}
 }
 
 // guardedProbe isolates one technique's probe: a panic in any hook
@@ -299,10 +370,19 @@ func CaptureTrace(ctx context.Context, p *program.Program, rc RunConfig) ([]byte
 // one technique's probe only voids that technique (BenchRun.Errors);
 // the remaining techniques still produce complete profiles.
 func ReplayCaptured(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, data []byte) (*BenchRun, error) {
-	probes, br := suiteProbes(nil, p, rc)
-	br.Workload = w
+	return replay(ctx, w, p, rc, data, techniques)
+}
 
-	names := append([]string(nil), techniqueNames...)
+// replay replays data to the selected techniques only, partitioned
+// across min(GOMAXPROCS, probes) goroutines (see ReplayCaptured).
+func replay(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, data []byte, sel []technique) (*BenchRun, error) {
+	br := &BenchRun{Workload: w, Program: p, Errors: map[string]error{}}
+	probes := make([]cpu.Probe, len(sel))
+	names := make([]string, len(sel))
+	for i, t := range sel {
+		probes[i] = t.probe(nil, p, rc)
+		names[i] = t.name
+	}
 	if testExtraProbe != nil {
 		name, pr := testExtraProbe()
 		names = append(names, name)
@@ -364,7 +444,7 @@ func ReplayCaptured(ctx context.Context, w workloads.Workload, p *program.Progra
 			br.Errors[g.name] = g.err
 		}
 	}
-	br.finish()
+	br.land(sel, probes)
 	return br, nil
 }
 
@@ -376,7 +456,26 @@ func ReplayCaptured(ctx context.Context, w workloads.Workload, p *program.Progra
 // watchdog-detected deadlock, invalid programs, corrupt streams,
 // cancellation — comes back as a typed *simerr.Error; a cancelled or
 // failed run returns a nil BenchRun, never a partial profile.
-func RunProgramContext(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig) (br *BenchRun, err error) {
+func RunProgramContext(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig) (*BenchRun, error) {
+	return runTechniques(ctx, w, p, rc, techniques)
+}
+
+// RunTechniquesContext is RunProgramContext for a subset of the
+// techniques: it replays the capture to the named probes only, so a
+// job that asks for "tea" decodes the trace once, on one goroutine, and
+// pays for no other probe. Each profile is byte-identical to the same
+// technique's profile from a full RunProgramContext (every technique
+// keeps its own seed). Unrequested fields of the BenchRun stay nil; an
+// unknown name fails with a typed ErrInvalidConfig.
+func RunTechniquesContext(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, names []string) (*BenchRun, error) {
+	sel, err := selectTechniques(names)
+	if err != nil {
+		return nil, err
+	}
+	return runTechniques(ctx, w, p, rc, sel)
+}
+
+func runTechniques(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, sel []technique) (br *BenchRun, err error) {
 	defer func() {
 		if err != nil {
 			br = nil
@@ -387,7 +486,7 @@ func RunProgramContext(ctx context.Context, w workloads.Workload, p *program.Pro
 	if err != nil {
 		return nil, err
 	}
-	br, err = ReplayCaptured(ctx, w, p, rc, data)
+	br, err = replay(ctx, w, p, rc, data, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -408,8 +507,8 @@ func RunProgram(w workloads.Workload, p *program.Program, rc RunConfig) *BenchRu
 	if err != nil {
 		panic(asSimErr(err, w.Name))
 	}
-	for _, name := range techniqueNames {
-		if terr := br.Errors[name]; terr != nil {
+	for _, t := range techniques {
+		if terr := br.Errors[t.name]; terr != nil {
 			panic(asSimErr(terr, w.Name))
 		}
 	}
@@ -432,13 +531,14 @@ func asSimErr(err error, workload string) *simerr.Error {
 // that invariant across the whole suite.
 func RunProgramLive(w workloads.Workload, p *program.Program, rc RunConfig) *BenchRun {
 	c := cpu.New(rc.Core, p)
-	probes, br := suiteProbes(c, p, rc)
-	for _, pr := range probes {
-		c.Attach(pr)
+	br := &BenchRun{Workload: w, Program: p, Errors: map[string]error{}}
+	probes := make([]cpu.Probe, len(techniques))
+	for i, t := range techniques {
+		probes[i] = t.probe(c, p, rc)
+		c.Attach(probes[i])
 	}
-	br.Workload = w
 	br.Stats = c.Run()
-	br.finish()
+	br.land(techniques, probes)
 	return br
 }
 

@@ -148,6 +148,22 @@ type StoreStatsView struct {
 	HitRate float64 `json:"hit_rate"`
 }
 
+// ProfileMemoView is the profile-memo section of /v1/stats. The server
+// memoises each rendered profile under its (program, configuration,
+// technique) key; a job whose every technique hits is served without a
+// trace-store lookup or a replay.
+type ProfileMemoView struct {
+	// Hits counts requested techniques served from the memo.
+	Hits uint64 `json:"hits"`
+	// Misses counts requested techniques the memo did not hold; each
+	// was replayed.
+	Misses uint64 `json:"misses"`
+	// Entries is the number of profiles the memo holds.
+	Entries uint64 `json:"entries"`
+	// Bytes is the memo's current footprint in profile bytes.
+	Bytes uint64 `json:"bytes"`
+}
+
 // CodecStatsView is the trace-codec section of /v1/stats: suite-wide
 // logical (v3-equivalent) versus encoded (v4) trace bytes across every
 // capture this process has written, and how much of the stream the
@@ -205,6 +221,8 @@ type StatsView struct {
 	ParallelFallbacks uint64 `json:"parallel_fallbacks"`
 	// TraceStore is the shared cache tier's traffic.
 	TraceStore StoreStatsView `json:"tracestore"`
+	// ProfileMemo is this server's memo of rendered profiles.
+	ProfileMemo ProfileMemoView `json:"profile_memo"`
 	// Codec is the trace-codec compression section.
 	Codec CodecStatsView `json:"codec"`
 	// Durability is the journaling and recovery section.
@@ -430,6 +448,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	view.TraceStore.PutBytes = snap.PutBytes
 	view.TraceStore.MemBytes = snap.MemBytes
 	view.TraceStore.Entries = snap.Entries
+	memo := s.memo.Snapshot()
+	view.ProfileMemo = ProfileMemoView{Hits: memo.Hits, Misses: memo.Misses, Entries: memo.Entries, Bytes: memo.MemBytes}
 	codec := analysis.CodecTotalStats()
 	view.Codec = CodecStatsView{
 		Captures:         codec.Captures,

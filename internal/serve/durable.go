@@ -340,6 +340,7 @@ func (s *Server) restore(rec *journal.Recovery) []*job {
 		s.stats.byStatus[j.status]++
 		s.tenantStatsLocked(j.tenant).Submitted++
 		if j.status.Terminal() {
+			j.prog = nil
 			s.finished = append(s.finished, id)
 		}
 	}

@@ -1,14 +1,12 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"sync"
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/pics"
 	"repro/internal/program"
 	"repro/internal/simerr"
 	"repro/internal/workloads"
@@ -105,16 +103,21 @@ type ConfigSpec struct {
 }
 
 // AllTechniques lists the valid JobRequest.Techniques entries in
-// evaluation order. "golden" is the per-cycle reference attribution;
-// the rest are the sampled techniques of Figure 5.
-var AllTechniques = []string{"golden", "tea", "nci-tea", "ibs", "spe", "ris"}
+// evaluation order: golden, tea, nci-tea, ibs, spe, ris. "golden" is
+// the per-cycle reference attribution; the rest are the sampled
+// techniques of Figure 5.
+var AllTechniques = analysis.ProfileTechniques()
 
 // job is one submitted profiling job and its mutable lifecycle state.
 type job struct {
-	id         string
-	tenant     string
-	w          workloads.Workload
+	id     string
+	tenant string
+	w      workloads.Workload
+	// prog is the built program to run. The terminal transition drops
+	// it (a finished job is kept for its results, not its input);
+	// program keeps its name for the job view.
 	prog       *program.Program
+	program    string
 	rc         analysis.RunConfig
 	techniques []string
 
@@ -181,6 +184,7 @@ func newJob(tenant string, w workloads.Workload, p *program.Program, rc analysis
 		tenant:     tenant,
 		w:          w,
 		prog:       p,
+		program:    p.Name,
 		rc:         rc,
 		techniques: techniques,
 		changed:    make(chan struct{}),
@@ -215,6 +219,7 @@ func (j *job) begin(now time.Time, cancel context.CancelFunc) bool {
 		j.status = StatusCanceled
 		j.err = &ErrorBody{Kind: kindCanceled, Status: statusForKind(kindCanceled), Message: "canceled before running"}
 		j.finished = now
+		j.prog = nil
 		ch := j.broadcastLocked()
 		j.mu.Unlock()
 		close(ch)
@@ -256,12 +261,15 @@ func (j *job) fail(now time.Time, body *ErrorBody, status Status) {
 	j.err = body
 	j.finished = now
 	j.cancel = nil
+	j.prog = nil
 	ch := j.broadcastLocked()
 	j.mu.Unlock()
 	close(ch)
 }
 
-// complete finalizes the job with its rendered profiles.
+// complete finalizes the job with its rendered profiles. The documents
+// may be shared with the server's profile memo and other jobs: they are
+// only ever read.
 func (j *job) complete(now time.Time, profiles map[string][]byte, techErrs map[string]*ErrorBody) {
 	j.mu.Lock()
 	j.status = StatusDone
@@ -269,6 +277,7 @@ func (j *job) complete(now time.Time, profiles map[string][]byte, techErrs map[s
 	j.techErrs = techErrs
 	j.finished = now
 	j.cancel = nil
+	j.prog = nil
 	ch := j.broadcastLocked()
 	j.mu.Unlock()
 	close(ch)
@@ -299,7 +308,7 @@ func (j *job) view(includeProfiles bool) JobView {
 		Tenant:     j.tenant,
 		Status:     j.status,
 		Workload:   j.w.Name,
-		Program:    j.prog.Name,
+		Program:    j.program,
 		Techniques: j.techniques,
 		Error:      j.err,
 	}
@@ -469,50 +478,4 @@ func normalizeTechniques(req []string) ([]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// profileByName maps a technique name to its profile in a finished run.
-func profileByName(br *analysis.BenchRun, name string) *pics.Profile {
-	switch name {
-	case "golden":
-		return br.Golden
-	case "tea":
-		return br.TEA
-	case "nci-tea":
-		return br.NCITEA
-	case "ibs":
-		return br.IBS
-	case "spe":
-		return br.SPE
-	case "ris":
-		return br.RIS
-	}
-	return nil
-}
-
-// renderProfiles serializes each requested technique's profile with the
-// same writer the CLI harness uses, so server results are
-// byte-identical to a local analysis.RunProgram. Techniques that failed
-// during replay land in the error map instead; a serialization failure
-// (an internal bug, not user input) fails the job.
-func renderProfiles(br *analysis.BenchRun, techniques []string) (map[string][]byte, map[string]*ErrorBody, error) {
-	profiles := make(map[string][]byte, len(techniques))
-	techErrs := make(map[string]*ErrorBody)
-	for _, name := range techniques {
-		if terr, bad := br.Errors[name]; bad {
-			techErrs[name] = errorBody(terr)
-			continue
-		}
-		p := profileByName(br, name)
-		if p == nil {
-			return nil, nil, simerr.New(simerr.ErrInternal, simerr.Snapshot{Technique: name},
-				"finished run holds no %q profile", name)
-		}
-		var buf bytes.Buffer
-		if err := p.WriteJSON(&buf); err != nil {
-			return nil, nil, err
-		}
-		profiles[name] = buf.Bytes()
-	}
-	return profiles, techErrs, nil
 }

@@ -6,9 +6,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/faultinject"
 	"repro/internal/journal"
 	"repro/internal/serve"
 	"repro/internal/workloads"
@@ -272,6 +275,80 @@ func TestRecoveryEmptyAndAbsentJournal(t *testing.T) {
 	ts2 := journaledServer(t, dir, serve.Config{Workers: 1})
 	if got := statsView(t, ts2).Durability.Recovery.RestoredDone; got != 1 {
 		t.Fatalf("restored done = %d, want 1", got)
+	}
+}
+
+// ackFS is a slowed FaultFS that records when a job's outcome is
+// durable: at the first WAL fsync after a result file is renamed into
+// place, i.e. once the done record pointing at it is on disk.
+type ackFS struct {
+	*faultinject.FaultFS
+	resultWritten atomic.Bool
+	durable       atomic.Bool
+}
+
+func (f *ackFS) Rename(oldname, newname string) error {
+	err := f.FaultFS.Rename(oldname, newname)
+	if err == nil && filepath.Base(filepath.Dir(newname)) == "results" {
+		f.resultWritten.Store(true)
+	}
+	return err
+}
+
+func (f *ackFS) OpenAppend(name string) (journal.File, error) {
+	file, err := f.FaultFS.OpenAppend(name)
+	if err != nil {
+		return nil, err
+	}
+	return &ackFile{File: file, fs: f}, nil
+}
+
+type ackFile struct {
+	journal.File
+	fs *ackFS
+}
+
+func (a *ackFile) Sync() error {
+	err := a.File.Sync()
+	if err == nil && a.fs.resultWritten.Load() {
+		a.fs.durable.Store(true)
+	}
+	return err
+}
+
+// TestDoneOnlyAfterDurable: on a journal whose every operation is slow,
+// a client streaming the job never sees "done" before the result file
+// is written and the done record fsynced — acknowledging earlier would
+// report a job done that a crash would re-run.
+func TestDoneOnlyAfterDurable(t *testing.T) {
+	fs := &ackFS{FaultFS: faultinject.NewFaultFS(nil)}
+	fs.SlowIO(20 * time.Millisecond)
+	ts := journaledServer(t, t.TempDir(), serve.Config{Workers: 1, JournalFS: fs})
+	id := submit(t, ts, `{"workload":"mcf","config":{"scale":0.05},"techniques":["tea"]}`)
+
+	resp, err := http.Get(ts.url("/v1/jobs/" + id + "/stream"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var rec struct {
+			Type   string       `json:"type"`
+			Status serve.Status `json:"status"`
+		}
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatalf("stream ended without a done status: %v", err)
+		}
+		if rec.Type == "status" && rec.Status.Terminal() {
+			if rec.Status != serve.StatusDone {
+				t.Fatalf("job ended %s", rec.Status)
+			}
+			if !fs.durable.Load() {
+				t.Fatal("job visible as done before its result file and done record were durable")
+			}
+			return
+		}
 	}
 }
 

@@ -21,17 +21,21 @@
 //     (Config.QueueDepth); when it is full the server sheds load with
 //     429 + Retry-After instead of buffering unboundedly.
 //
-// Admitted jobs run through analysis.RunProgramContext, so every capture
-// is deduplicated across tenants by the content-addressed trace store:
-// N tenants submitting the same (program, core configuration) cost one
-// simulation, and the rest replay shared bytes. Failures surface as the
-// simerr taxonomy rendered into a JSON error envelope with a stable
-// kind → HTTP status mapping (see ErrorBody and docs/API.md). Job
+// Admitted jobs run through analysis.RunTechniquesContext, which replays
+// only the techniques a job asks for, and every capture is deduplicated
+// across tenants by the content-addressed trace store: N tenants
+// submitting the same (program, core configuration) cost one
+// simulation, and the rest replay shared bytes. A repeated request costs
+// no replay at all: each server memoises its rendered profiles (see
+// renderProfiles). Failures surface as the simerr taxonomy rendered
+// into a JSON error envelope with a stable kind → HTTP status mapping
+// (see ErrorBody and docs/API.md). Job
 // cancellation — client DELETE, per-job timeout, or server shutdown —
 // threads one context.Context end to end into the simulator loop.
 package serve
 
 import (
+	"bytes"
 	"context"
 	"strconv"
 	"sync"
@@ -39,7 +43,10 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/journal"
+	"repro/internal/program"
+	"repro/internal/simerr"
 	"repro/internal/tracestore"
+	"repro/internal/workloads"
 )
 
 // Config sizes the service. The zero value is not ready; start from
@@ -150,6 +157,13 @@ type Server struct {
 	queue   chan *job
 	quotas  *quotaTable
 	journal *journal.Journal // nil in memory-only mode
+	// memo holds this server's rendered profiles, keyed by
+	// analysis.ProfileKey (see renderProfiles). It is memory-only and
+	// private to the server, so the experiment harness never sees it.
+	memo *tracestore.Store
+	// runTechniques is analysis.RunTechniquesContext; tests substitute
+	// it to inject technique failures.
+	runTechniques func(context.Context, workloads.Workload, *program.Program, analysis.RunConfig, []string) (*analysis.BenchRun, error)
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -196,7 +210,10 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		quotas: newQuotaTable(cfg.TenantRate, cfg.TenantBurst, cfg.Now),
+		memo:   tracestore.New(profileMemoBudget, "", nil),
 		jobs:   make(map[string]*job),
+
+		runTechniques: analysis.RunTechniquesContext,
 		stats: counters{
 			byStatus: make(map[Status]uint64),
 			tenants:  make(map[string]*TenantStats),
@@ -277,30 +294,79 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	s.noteTransition(StatusQueued, StatusRunning)
 	s.journalAppend(j, recRunning, nil)
 
-	br, err := analysis.RunProgramContext(jctx, j.w, j.prog, j.rc)
+	profiles, techErrs, err := s.renderProfiles(jctx, j)
 	end := s.cfg.Now()
+	// Each outcome is journaled before the job shows it: a client never
+	// observes a terminal state that a crash would undo. The journal
+	// calls return at once in memory-only and degraded mode.
 	if err != nil {
 		body := errorBody(err)
 		status := StatusFailed
 		if body.Kind == kindCanceled {
 			status = StatusCanceled
 		}
+		s.journalTerminal(j, status, body)
 		j.fail(end, body, status)
 		s.noteTerminal(j, StatusRunning, status)
-		s.journalTerminal(j, status, body)
 		return
 	}
-	profiles, techErrs, rerr := renderProfiles(br, j.techniques)
-	if rerr != nil {
-		body := errorBody(rerr)
-		j.fail(end, body, StatusFailed)
-		s.noteTerminal(j, StatusRunning, StatusFailed)
-		s.journalTerminal(j, StatusFailed, body)
-		return
-	}
+	s.journalDone(j, profiles, techErrs)
 	j.complete(end, profiles, techErrs)
 	s.noteTerminal(j, StatusRunning, StatusDone)
-	s.journalDone(j, profiles, techErrs)
+}
+
+// profileMemoBudget bounds each server's memo of rendered profiles in
+// bytes. A rendered profile is tens of KB, so the memo holds thousands
+// of distinct (program, configuration, technique) results.
+const profileMemoBudget = 64 << 20
+
+// renderProfiles produces the job's requested profiles. Each one the
+// server's memo holds is served from it; only the rest are replayed
+// (analysis.RunTechniquesContext) and rendered with the writer the CLI
+// harness uses, so results are byte-identical to a local
+// analysis.RunProgram. A job whose every technique hits the memo
+// touches neither the trace store nor the replay. Techniques that fail
+// during replay land in the error map and are never memoised; a
+// serialization failure (an internal bug, not user input) fails the
+// job. The returned documents may be shared with the memo and with
+// other jobs, so they are read-only.
+func (s *Server) renderProfiles(ctx context.Context, j *job) (map[string][]byte, map[string]*ErrorBody, error) {
+	key := analysis.NewProfileKey(j.prog, j.rc)
+	profiles := make(map[string][]byte, len(j.techniques))
+	techErrs := make(map[string]*ErrorBody)
+	var missing []string
+	for _, name := range j.techniques {
+		if doc, ok := s.memo.Get(key.Technique(name)); ok {
+			profiles[name] = doc
+		} else {
+			missing = append(missing, name)
+		}
+	}
+	if len(missing) == 0 {
+		return profiles, techErrs, nil
+	}
+	br, err := s.runTechniques(ctx, j.w, j.prog, j.rc, missing)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, name := range missing {
+		if terr, bad := br.Errors[name]; bad {
+			techErrs[name] = errorBody(terr)
+			continue
+		}
+		p := br.Profile(name)
+		if p == nil {
+			return nil, nil, simerr.New(simerr.ErrInternal, simerr.Snapshot{Technique: name},
+				"finished run holds no %q profile", name)
+		}
+		var buf bytes.Buffer
+		if err := p.WriteJSON(&buf); err != nil {
+			return nil, nil, err
+		}
+		profiles[name] = buf.Bytes()
+		s.memo.Put(key.Technique(name), buf.Bytes())
+	}
+	return profiles, techErrs, nil
 }
 
 // noteTransition moves one job between status buckets in the counters.

@@ -615,6 +615,10 @@ func TestStatsAndHealth(t *testing.T) {
 	if stats.Workers != 1 {
 		t.Errorf("stats workers %d, want 1", stats.Workers)
 	}
+	// The job rendered one profile into this fresh server's memo.
+	if m := stats.ProfileMemo; m.Hits != 0 || m.Misses != 1 || m.Entries != 1 || m.Bytes == 0 {
+		t.Errorf("profile_memo %+v after one tea job, want 1 miss and 1 entry", m)
+	}
 	// The codec section aggregates every capture this process has
 	// written; at least the job above contributed, so the counters must
 	// be live and the v4 encoding strictly smaller than its logical

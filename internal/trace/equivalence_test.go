@@ -164,7 +164,7 @@ func marshal(p *pics.Profile) ([]byte, error) {
 }
 
 // codecSuite builds the six profile-producing techniques with the same
-// configuration analysis.suiteProbes uses, either wired to a live core
+// configuration analysis's technique registry uses, either wired to a live core
 // (c non-nil) or free-standing for replay delivery (c nil).
 func codecSuite(c *cpu.CPU, p *program.Program, rc analysis.RunConfig) ([]cpu.Probe, func() map[string]*pics.Profile) {
 	golden := core.NewTEA(c, core.Config{Set: events.TEASet, EveryCycle: true, Prog: p})

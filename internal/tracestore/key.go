@@ -14,6 +14,7 @@ package tracestore
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"hash"
 	"math"
 
@@ -27,9 +28,16 @@ import (
 
 // Hasher accumulates a cache key. The zero value is not ready; use
 // NewHasher.
+//
+// Fields are staged in a fixed buffer and handed to SHA-256 a buffer at
+// a time: a program's data image is tens of thousands of 8-byte fields,
+// and one hash Write per field costs more than the hashing itself. The
+// byte stream SHA-256 sees is the same either way, so keys do not
+// depend on the buffering.
 type Hasher struct {
 	h   hash.Hash
-	buf [8]byte
+	n   int // staged bytes in buf
+	buf [1024]byte
 }
 
 // NewHasher returns an empty key accumulator.
@@ -37,8 +45,15 @@ func NewHasher() *Hasher {
 	return &Hasher{h: sha256.New()}
 }
 
+// flush hands the staged bytes to SHA-256.
+func (h *Hasher) flush() {
+	h.h.Write(h.buf[:h.n])
+	h.n = 0
+}
+
 // Sum finalizes the key.
 func (h *Hasher) Sum() Key {
+	h.flush()
 	var k Key
 	h.h.Sum(k[:0])
 	return k
@@ -47,10 +62,27 @@ func (h *Hasher) Sum() Key {
 // Uint folds one 64-bit value (fixed-width little-endian, so values
 // never alias across field boundaries).
 func (h *Hasher) Uint(v uint64) {
-	for i := range h.buf {
-		h.buf[i] = byte(v >> (8 * i))
+	if h.n+8 > len(h.buf) {
+		h.flush()
 	}
-	h.h.Write(h.buf[:])
+	binary.LittleEndian.PutUint64(h.buf[h.n:], v)
+	h.n += 8
+}
+
+// Key folds another key (fixed width, so it needs no length prefix).
+func (h *Hasher) Key(k Key) { h.bytes(k[:]) }
+
+// bytes folds raw bytes, staging small runs and passing large ones
+// straight through.
+func (h *Hasher) bytes(b []byte) {
+	if h.n+len(b) > len(h.buf) {
+		h.flush()
+		if len(b) > len(h.buf) {
+			h.h.Write(b)
+			return
+		}
+	}
+	h.n += copy(h.buf[h.n:], b)
 }
 
 // Int folds a signed value.
@@ -73,7 +105,7 @@ func (h *Hasher) Float(v float64) { h.Uint(math.Float64bits(v)) }
 // distinct from "a","bc").
 func (h *Hasher) String(s string) {
 	h.Uint(uint64(len(s)))
-	h.h.Write([]byte(s))
+	h.bytes([]byte(s))
 }
 
 // Ints folds a length-prefixed int slice.

@@ -2,7 +2,8 @@
 // real teaserve binary on an ephemeral port with every documented flag
 // set, drives each endpoint of the /v1 API over actual TCP, verifies
 // the raw profile bytes match an in-process analysis.RunProgram of the
-// same job, and finishes by proving a SIGTERM shutdown is clean (exit
+// same job and that a repeated request is served byte-identically from
+// the profile memo, and finishes by proving a SIGTERM shutdown is clean (exit
 // code 0, drained pool, "shutdown complete" on stdout).
 //
 //	go build -o bin/teaserve ./cmd/teaserve
@@ -148,7 +149,8 @@ func smokeAPI(client *http.Client, base string) error {
 	}
 
 	// A real job, polled to completion.
-	id, err := submit(client, base, `{"tenant":"smoke","workload":"mcf","techniques":["tea","golden"],"config":{"scale":0.05}}`)
+	const request = `{"tenant":"smoke","workload":"mcf","techniques":["tea","golden"],"config":{"scale":0.05}}`
+	id, err := submit(client, base, request)
 	if err != nil {
 		return err
 	}
@@ -185,13 +187,15 @@ func smokeAPI(client *http.Client, base string) error {
 		}
 	}
 
-	// Stream a second identical job; it must dedup (no new capture) and
-	// the NDJSON protocol must terminate with an end record.
+	// Stream the same request again: both profiles must come from the
+	// server's profile memo (no capture, no trace-store lookup), byte-
+	// identical to the first job's, and the NDJSON protocol must
+	// terminate with an end record.
 	stats1, err := getStats(client, base)
 	if err != nil {
 		return err
 	}
-	id2, err := submit(client, base, `{"tenant":"smoke-2","workload":"mcf","techniques":["tea"],"config":{"scale":0.05}}`)
+	id2, err := submit(client, base, request)
 	if err != nil {
 		return err
 	}
@@ -208,6 +212,24 @@ func smokeAPI(client *http.Client, base string) error {
 	if stats2.Submitted < 2 {
 		return fmt.Errorf("stats submitted = %d, want >= 2", stats2.Submitted)
 	}
+	m1, m2 := stats1.ProfileMemo, stats2.ProfileMemo
+	if m2.Hits != m1.Hits+2 || m2.Misses != m1.Misses || stats2.TraceStore != stats1.TraceStore {
+		return fmt.Errorf("repeated job was not a memo hit: profile_memo %+v -> %+v, tracestore %+v -> %+v",
+			m1, m2, stats1.TraceStore, stats2.TraceStore)
+	}
+	for _, name := range []string{"tea", "golden"} {
+		first, err := get(client, base+"/v1/jobs/"+id+"/profiles/"+name)
+		if err != nil {
+			return err
+		}
+		second, err := get(client, base+"/v1/jobs/"+id2+"/profiles/"+name)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(first, second) {
+			return fmt.Errorf("memoised %s profile differs from the first job's", name)
+		}
+	}
 
 	// Cancel of a terminal job is a 409 conflict.
 	if err := expectErrorEnvelope(client, "DELETE", base+"/v1/jobs/"+id, "", 409); err != nil {
@@ -221,8 +243,16 @@ type jobView struct {
 }
 
 type statsView struct {
-	Submitted uint64 `json:"submitted"`
-	Captures  uint64 `json:"captures"`
+	Submitted  uint64 `json:"submitted"`
+	Captures   uint64 `json:"captures"`
+	TraceStore struct {
+		Hits   uint64 `json:"hits"`
+		Misses uint64 `json:"misses"`
+	} `json:"tracestore"`
+	ProfileMemo struct {
+		Hits   uint64 `json:"hits"`
+		Misses uint64 `json:"misses"`
+	} `json:"profile_memo"`
 }
 
 func submit(client *http.Client, base, body string) (string, error) {
