@@ -2,7 +2,7 @@ GO      ?= go
 BINDIR  := bin
 TEALINT := $(BINDIR)/tealint
 
-.PHONY: all build test race vet lint check chaos fuzz bench bench-checkpoint bench-codec serve smoke load clean
+.PHONY: all build test race vet lint check chaos fuzz bench bench-smoke bench-checkpoint bench-codec serve smoke load clean
 
 all: build
 
@@ -81,6 +81,12 @@ load:
 # writes BENCH_<date>.json (see scripts/bench.sh for BENCHTIME/LABEL).
 bench:
 	./scripts/bench.sh
+
+# bench-smoke runs the end-to-end benchmark's smoke test at a tiny
+# size. bench/ is its own module, so `go build ./...` never reaches it;
+# this keeps it compiling against the packages it calls.
+bench-smoke:
+	cd bench && $(GO) test .
 
 # bench-checkpoint is the before/after evidence for interval-parallel
 # capture: the same BenchmarkSuiteCapture run serially and with

@@ -179,20 +179,19 @@ func (k ProfileKey) Technique(name string) tracestore.Key {
 	return h.Sum()
 }
 
-// capturedTrace returns the encoded trace and run statistics for
-// (p, rc), simulating only if no store tier holds the capture.
+// capture returns the encoded trace and run statistics for j,
+// simulating only if no store tier holds the capture under j.key.
 // Concurrent callers of the same key share one simulation. The
 // returned trace bytes are shared with the cache and other callers —
 // they must only be replayed, never mutated (the chaos harness, which
 // does mutate, uses CaptureTrace directly). The returned Stats is a
 // fresh copy each call.
-func capturedTrace(ctx context.Context, p *program.Program, rc RunConfig) ([]byte, *cpu.Stats, error) {
-	crc := captureConfig(rc)
-	entry, err := TraceStore().GetOrPut(captureKey(p, crc), func() ([]byte, error) {
+func (j captureJob) capture(ctx context.Context) ([]byte, *cpu.Stats, error) {
+	entry, err := TraceStore().GetOrPut(j.key, func() ([]byte, error) {
 		// One increment per workload simulated, regardless of how many
 		// interval segments the parallel path splits the work into.
 		captureCount.Add(1)
-		data, stats, err := CaptureTraceCheckpointed(ctx, p, crc, rc.CheckpointInterval, rc.CaptureWorkers)
+		data, stats, err := CaptureTraceCheckpointed(ctx, j.p, captureConfig(j.rc), j.rc.CheckpointInterval, j.rc.CaptureWorkers)
 		if err != nil {
 			return nil, err
 		}
@@ -207,7 +206,7 @@ func capturedTrace(ctx context.Context, p *program.Program, rc RunConfig) ([]byt
 		// entries pass validateEntry before being served, so this is an
 		// internal bug, not cache corruption.
 		return nil, nil, simerr.Wrap(simerr.ErrInternal,
-			simerr.Snapshot{Program: p.Name}, err, "trace cache entry undecodable")
+			simerr.Snapshot{Program: j.p.Name}, err, "trace cache entry undecodable")
 	}
 	return data, stats, nil
 }

@@ -2,9 +2,7 @@ package analysis
 
 import (
 	"context"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -191,41 +189,11 @@ type FrequencyPoint struct {
 //
 //tealint:ctxroot figure entry point invoked by the experiment CLIs, which have no context to thread
 func FrequencySweep(rc RunConfig, intervals []uint64) []FrequencyPoint {
-	jobs := suiteJobs(rc)
-	if err := scheduleCaptures(context.Background(), jobs); err != nil {
-		panic(asSimErr(err, ""))
+	rcs := make([]RunConfig, len(intervals))
+	for i, iv := range intervals {
+		rcs[i] = SweepConfig(rc, iv)
 	}
-	type cell struct{ iv, job int }
-	cells := make([]cell, 0, len(intervals)*len(jobs))
-	runs := make([][]*BenchRun, len(intervals))
-	for i := range intervals {
-		runs[i] = make([]*BenchRun, len(jobs))
-		for j := range jobs {
-			cells = append(cells, cell{iv: i, job: j})
-		}
-	}
-	par := runtime.GOMAXPROCS(0)
-	if par > len(cells) {
-		par = len(cells)
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for p := 0; p < par; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				c := cells[i]
-				cfg := SweepConfig(rc, intervals[c.iv])
-				runs[c.iv][c.job] = RunProgram(jobs[c.job].w, jobs[c.job].p, cfg)
-			}
-		}()
-	}
-	for i := range cells {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	runs := runGrid(context.Background(), suiteJobs(rc), rcs)
 	out := make([]FrequencyPoint, 0, len(intervals))
 	for i, iv := range intervals {
 		rows := AccuracyStudy(runs[i])

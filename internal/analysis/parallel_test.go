@@ -139,7 +139,7 @@ func TestParallelCaptureCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the first worker steps: every segment must abort
-	_, _, err = capturedTrace(ctx, p, rc)
+	_, _, err = newCaptureJob(w, p, rc).capture(ctx)
 	if err == nil {
 		t.Fatal("capture with canceled context succeeded")
 	}
@@ -153,7 +153,7 @@ func TestParallelCaptureCancellation(t *testing.T) {
 
 	// The same key must still be capturable afterwards: the aborted
 	// attempt reserved nothing.
-	if _, _, err := capturedTrace(context.Background(), p, rc); err != nil {
+	if _, _, err := newCaptureJob(w, p, rc).capture(context.Background()); err != nil {
 		t.Fatalf("capture after canceled attempt: %v", err)
 	}
 	if _, ok := TraceStore().Get(captureKey(p, captureConfig(rc))); !ok {
@@ -179,13 +179,13 @@ func TestParallelCaptureCountsOncePerWorkload(t *testing.T) {
 	defer SetTraceStore(prev)
 
 	start := CaptureCount()
-	if _, _, err := capturedTrace(context.Background(), p, rc); err != nil {
+	if _, _, err := newCaptureJob(w, p, rc).capture(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := CaptureCount() - start; got != 1 {
 		t.Errorf("parallel capture incremented CaptureCount by %d; want 1 (per workload, not per segment)", got)
 	}
-	if _, _, err := capturedTrace(context.Background(), p, rc); err != nil {
+	if _, _, err := newCaptureJob(w, p, rc).capture(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := CaptureCount() - start; got != 1 {
@@ -197,7 +197,7 @@ func TestParallelCaptureCountsOncePerWorkload(t *testing.T) {
 	// produced, never what it contains.
 	src := rc
 	src.CheckpointInterval, src.CaptureWorkers = 0, 0
-	if _, _, err := capturedTrace(context.Background(), p, src); err != nil {
+	if _, _, err := newCaptureJob(w, p, src).capture(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := CaptureCount() - start; got != 1 {

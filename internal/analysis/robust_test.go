@@ -1,12 +1,14 @@
 package analysis
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/cpu"
-	"repro/internal/pics"
+	"repro/internal/program"
 	"repro/internal/simerr"
 	"repro/internal/workloads"
 )
@@ -20,67 +22,131 @@ func robustWorkload(t *testing.T) workloads.Workload {
 	return w
 }
 
-// panicProbe blows up partway through the replay stream.
+// panicProbe blows up in one hook once that hook has fired more than
+// after times.
 type panicProbe struct {
 	cpu.BaseProbe
-	commits int
+	hook  string
+	after int
+	calls int
 }
 
-func (p *panicProbe) OnCommit(r cpu.Ref, cycle uint64) {
-	p.commits++
-	if p.commits > 100 {
-		panic("probe exploded mid-replay")
+func (p *panicProbe) fire(hook string) {
+	if hook != p.hook {
+		return
+	}
+	if p.calls++; p.calls > p.after {
+		panic("probe exploded in " + hook)
+	}
+}
+
+func (p *panicProbe) OnCycle(*cpu.CycleInfo)     { p.fire("OnCycle") }
+func (p *panicProbe) OnFetch(cpu.Ref, uint64)    { p.fire("OnFetch") }
+func (p *panicProbe) OnDispatch(cpu.Ref, uint64) { p.fire("OnDispatch") }
+func (p *panicProbe) OnCommit(cpu.Ref, uint64)   { p.fire("OnCommit") }
+func (p *panicProbe) OnDone(uint64)              { p.fire("OnDone") }
+
+// panicHooks are the hooks a chaos probe can blow up in: the
+// per-record hooks mid-replay, OnDone at the end of the stream.
+var panicHooks = []string{"OnCycle", "OnFetch", "OnDispatch", "OnCommit", "OnDone"}
+
+// chaosTechnique is a technique whose probe panics in hook. Every
+// replay, and every rebuild after a failure, builds a fresh probe.
+func chaosTechnique(name, hook string) technique {
+	after := 100
+	if hook == "OnDone" {
+		after = 0
+	}
+	return technique{name: name, probe: func(*cpu.CPU, *program.Program, RunConfig) cpu.Probe {
+		return &panicProbe{hook: hook, after: after}
+	}}
+}
+
+// replayPaths are the two shapes of a replay: a lone replay fanning
+// its probes out over several groups (four, so the fan-out runs on any
+// host), and the one-group replay of a grid cell.
+var replayPaths = []struct {
+	name   string
+	groups int
+}{{"fan-out", 4}, {"one-group", 1}}
+
+// checkContained replays p to sel plus the extra chaos techniques
+// through each replay path. Exactly the extras must fail, each with a
+// typed ErrInternal naming it, and every selected technique's result
+// must match the clean run byte for byte.
+func checkContained(t *testing.T, w workloads.Workload, p *program.Program, rc RunConfig, sel []technique, clean *BenchRun, extra ...technique) {
+	t.Helper()
+	testExtraProbes = extra
+	defer func() { testExtraProbes = nil }()
+	for _, path := range replayPaths {
+		br, err := newCaptureJob(w, p, rc).run(context.Background(), rc, sel, path.groups)
+		if err != nil {
+			t.Fatalf("%s: run with panicking probe must not fail outright: %v", path.name, err)
+		}
+		if len(br.Errors) != len(extra) {
+			t.Fatalf("%s: errors %v, want only the %d chaos probes", path.name, br.Errors, len(extra))
+		}
+		for _, x := range extra {
+			var se *simerr.Error
+			if !errors.As(br.Errors[x.name], &se) || se.Kind != simerr.ErrInternal || se.Snap.Technique != x.name {
+				t.Fatalf("%s: %s error = %v, want ErrInternal naming it", path.name, x.name, br.Errors[x.name])
+			}
+		}
+		for _, tech := range sel {
+			if tech.profile != nil && !bytes.Equal(renderJSON(t, br.Profile(tech.name)), renderJSON(t, clean.Profile(tech.name))) {
+				t.Errorf("%s: %s profile differs from the clean run", path.name, tech.name)
+			}
+		}
+		if !reflect.DeepEqual([]any{br.Counters, br.Events, br.Stalls}, []any{clean.Counters, clean.Events, clean.Stalls}) {
+			t.Errorf("%s: statistics probes differ from the clean run", path.name)
+		}
 	}
 }
 
 // TestPanickingProbeContained is the regression test for the
 // goroutine-panic bug: a probe that panics during replay used to kill
 // the whole process (panic in a bare goroutine). Now it must only void
-// its own technique while the other nine return profiles identical to
-// a clean run.
+// its own technique, whichever hook it panics in and however the
+// replay is grouped, while the other nine render byte-identically to a
+// clean run.
 func TestPanickingProbeContained(t *testing.T) {
 	w := robustWorkload(t)
 	rc := testConfig()
 	rc.Scale = 0.05
 	p := w.Build(rc.iters(w))
-
 	clean, err := RunProgramContext(context.Background(), w, p, rc)
 	if err != nil {
 		t.Fatalf("clean run failed: %v", err)
 	}
-
-	testExtraProbe = func() (string, cpu.Probe) { return "chaos-probe", &panicProbe{} }
-	defer func() { testExtraProbe = nil }()
-	br, err := RunProgramContext(context.Background(), w, p, rc)
-	if err != nil {
-		t.Fatalf("run with panicking probe must not fail outright: %v", err)
+	for _, hook := range panicHooks {
+		t.Run(hook, func(t *testing.T) {
+			checkContained(t, w, p, rc, techniques, clean, chaosTechnique("chaos-probe", hook))
+		})
 	}
-	perr, ok := br.Errors["chaos-probe"]
-	if !ok {
-		t.Fatalf("panicking probe not recorded in Errors: %v", br.Errors)
-	}
-	var se *simerr.Error
-	if !errors.As(perr, &se) || se.Kind != simerr.ErrInternal {
-		t.Fatalf("probe panic should surface as ErrInternal, got %v", perr)
-	}
-	if se.Snap.Technique != "chaos-probe" {
-		t.Fatalf("error snapshot technique = %q, want chaos-probe", se.Snap.Technique)
-	}
-	if len(br.Errors) != 1 {
-		t.Fatalf("only the panicking probe should fail, got %v", br.Errors)
-	}
-	for i, pair := range [][2]*pics.Profile{
-		{br.Golden, clean.Golden}, {br.TEA, clean.TEA}, {br.NCITEA, clean.NCITEA},
-		{br.IBS, clean.IBS}, {br.SPE, clean.SPE}, {br.RIS, clean.RIS},
-	} {
-		if pair[0] == nil {
-			t.Fatalf("technique %d profile nil despite being healthy", i)
+	t.Run("two-probes", func(t *testing.T) {
+		checkContained(t, w, p, rc, techniques, clean,
+			chaosTechnique("chaos-commit", "OnCommit"), chaosTechnique("chaos-cycle", "OnCycle"))
+	})
+	// A panic stops its run short of the integrity digest, so a corrupt
+	// stream must still fail the replay — also when the panicking probe
+	// is the only one replayed.
+	t.Run("corrupt-stream", func(t *testing.T) {
+		data, _, err := CaptureTrace(context.Background(), p, rc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pair[0].Total() != pair[1].Total() {
-			t.Fatalf("technique %d total %v differs from clean run %v",
-				i, pair[0].Total(), pair[1].Total())
+		data[len(data)-1] ^= 0xff
+		testExtraProbes = []technique{chaosTechnique("chaos-probe", "OnCommit")}
+		defer func() { testExtraProbes = nil }()
+		for _, sel := range [][]technique{techniques, nil} {
+			for _, path := range replayPaths {
+				br, err := replay(context.Background(), w, p, rc, data, sel, path.groups)
+				if br != nil || !errors.Is(err, simerr.ErrDecode) {
+					t.Errorf("%s, %d techniques: got %v, %v; want nil and ErrDecode", path.name, len(sel), br, err)
+				}
+			}
 		}
-	}
+	})
 }
 
 // TestCancellationDeterminism pins the no-partial-profile contract:

@@ -225,8 +225,11 @@ func ProfileTechniques() []string {
 }
 
 // selectTechniques resolves names to registry entries in evaluation
-// order; an unknown name is a typed ErrInvalidConfig.
+// order; an empty list or an unknown name is a typed ErrInvalidConfig.
 func selectTechniques(names []string) ([]technique, error) {
+	if len(names) == 0 {
+		return nil, simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{}, "no technique requested")
+	}
 	want := make(map[string]bool, len(names))
 	for _, name := range names {
 		if techniqueByName(name) == nil {
@@ -260,82 +263,11 @@ func (br *BenchRun) land(sel []technique, probes []cpu.Probe) {
 	}
 }
 
-// guardedProbe isolates one technique's probe: a panic in any hook
-// latches a typed error on the guard and disables the probe's
-// remaining hooks, so one broken technique cannot take down the replay
-// goroutine it shares with others — let alone the process.
-type guardedProbe struct {
-	name     string
-	workload string
-	inner    cpu.Probe
-	err      *simerr.Error
-}
-
-func (g *guardedProbe) catch() {
-	if v := recover(); v != nil {
-		g.err = simerr.FromPanic(v, simerr.Snapshot{Workload: g.workload, Technique: g.name})
-	}
-}
-
-// OnCycle forwards the cycle hook unless the probe already failed.
-func (g *guardedProbe) OnCycle(ci *cpu.CycleInfo) {
-	if g.err != nil {
-		return
-	}
-	defer g.catch()
-	g.inner.OnCycle(ci)
-}
-
-// OnFetch forwards the fetch hook unless the probe already failed.
-func (g *guardedProbe) OnFetch(r cpu.Ref, cycle uint64) {
-	if g.err != nil {
-		return
-	}
-	defer g.catch()
-	g.inner.OnFetch(r, cycle)
-}
-
-// OnDispatch forwards the dispatch hook unless the probe already failed.
-func (g *guardedProbe) OnDispatch(r cpu.Ref, cycle uint64) {
-	if g.err != nil {
-		return
-	}
-	defer g.catch()
-	g.inner.OnDispatch(r, cycle)
-}
-
-// OnCommit forwards the commit hook unless the probe already failed.
-func (g *guardedProbe) OnCommit(r cpu.Ref, cycle uint64) {
-	if g.err != nil {
-		return
-	}
-	defer g.catch()
-	g.inner.OnCommit(r, cycle)
-}
-
-// OnSquash forwards the squash hook unless the probe already failed.
-func (g *guardedProbe) OnSquash(r cpu.Ref, cycle uint64) {
-	if g.err != nil {
-		return
-	}
-	defer g.catch()
-	g.inner.OnSquash(r, cycle)
-}
-
-// OnDone forwards the end-of-run hook unless the probe already failed.
-func (g *guardedProbe) OnDone(totalCycles uint64) {
-	if g.err != nil {
-		return
-	}
-	defer g.catch()
-	g.inner.OnDone(totalCycles)
-}
-
-// testExtraProbe, when non-nil, injects one extra named probe into the
-// replay partition. The panic-containment regression test uses it to
+// testExtraProbes are replayed after the selected techniques in every
+// replay. The panic-containment tests use them to
 // prove a misbehaving probe cannot crash the process or void the other
-// techniques' profiles.
-var testExtraProbe func() (string, cpu.Probe)
+// techniques' profiles; their results land nowhere.
+var testExtraProbes []technique
 
 // CaptureTrace runs the core exactly once with only the trace-capture
 // probe attached and returns the encoded stream — the "simulate once"
@@ -370,82 +302,96 @@ func CaptureTrace(ctx context.Context, p *program.Program, rc RunConfig) ([]byte
 // one technique's probe only voids that technique (BenchRun.Errors);
 // the remaining techniques still produce complete profiles.
 func ReplayCaptured(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, data []byte) (*BenchRun, error) {
-	return replay(ctx, w, p, rc, data, techniques)
+	return replay(ctx, w, p, rc, data, techniques, runtime.GOMAXPROCS(0))
 }
 
-// replay replays data to the selected techniques only, partitioned
-// across min(GOMAXPROCS, probes) goroutines (see ReplayCaptured).
-func replay(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, data []byte, sel []technique) (*BenchRun, error) {
-	br := &BenchRun{Workload: w, Program: p, Errors: map[string]error{}}
-	probes := make([]cpu.Probe, len(sel))
-	names := make([]string, len(sel))
-	for i, t := range sel {
+// replay replays data to the selected techniques, partitioned across
+// min(groups, probes) goroutines that each decode the whole stream. A
+// lone replay passes GOMAXPROCS to overlap its probes; a grid cell,
+// which already shares the CPUs with the other cells, passes 1 and
+// decodes once.
+//
+// Probe hooks run unguarded, so the per-record path pays nothing for
+// containment. Each group recovers its own panic instead; once every
+// group has returned, each technique of a panicked group replays
+// alone on a fresh probe to find the one that failed. Probes are
+// deterministic in (program, config, stream), so the survivors'
+// results are a clean run's, and the extra decodes happen only on
+// this failure path.
+func replay(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, data []byte, sel []technique, groups int) (*BenchRun, error) {
+	all := append(sel[:len(sel):len(sel)], testExtraProbes...)
+	probes := make([]cpu.Probe, len(all))
+	for i, t := range all {
 		probes[i] = t.probe(nil, p, rc)
-		names[i] = t.name
 	}
-	if testExtraProbe != nil {
-		name, pr := testExtraProbe()
-		names = append(names, name)
-		probes = append(probes, pr)
-	}
-	guards := make([]*guardedProbe, len(probes))
-	for i, pr := range probes {
-		guards[i] = &guardedProbe{name: names[i], workload: w.Name, inner: pr}
-	}
-
-	par := runtime.GOMAXPROCS(0)
-	if par > len(guards) {
-		par = len(guards)
-	}
-	streamErrs := make([]error, par)
-	panicErrs := make([]error, par)
+	groups = min(groups, len(probes))
+	streamErrs := make([]error, groups)
+	panics := make([]*simerr.Error, groups)
 	var wg sync.WaitGroup
-	for g := 0; g < par; g++ {
-		group := make([]cpu.Probe, 0, (len(guards)+par-1)/par)
-		for i := g; i < len(guards); i += par {
-			group = append(group, guards[i])
+	for g := range groups {
+		group := make([]cpu.Probe, 0, (len(probes)+groups-1)/groups)
+		for i := g; i < len(probes); i += groups {
+			group = append(group, probes[i])
 		}
 		wg.Add(1)
-		go func(g int, ps []cpu.Probe) {
+		go func() {
 			defer wg.Done()
-			// Last-resort containment. The guards already catch probe
-			// panics, so anything surfacing here is an infrastructure
-			// bug — record it instead of letting a bare-goroutine
-			// panic kill the whole process.
-			defer func() {
-				if v := recover(); v != nil {
-					panicErrs[g] = simerr.FromPanic(v, simerr.Snapshot{Workload: w.Name})
-				}
-			}()
-			_, streamErrs[g] = trace.ReplayBytes(ctx, data, ps...)
-		}(g, group)
+			panics[g], streamErrs[g] = replayContained(ctx, data, simerr.Snapshot{Workload: w.Name}, group...)
+		}()
 	}
 	wg.Wait()
-	// Every group decodes the same bytes, so a decode failure (or a
-	// cancellation) in any group condemns the stream for all of them.
+	// Every run decodes the same bytes, so a stream failure in any run
+	// condemns the stream for all of them.
 	for _, err := range streamErrs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	// A recovered worker panic voids only that group's techniques.
-	for g, perr := range panicErrs {
-		if perr == nil {
+	br := &BenchRun{Workload: w, Program: p, Errors: map[string]error{}}
+	for g := range groups {
+		if panics[g] == nil {
 			continue
 		}
-		for i := g; i < len(guards); i += par {
-			if guards[i].err == nil {
-				br.Errors[names[i]] = perr
+		for i := g; i < len(all); i += groups {
+			probes[i] = all[i].probe(nil, p, rc)
+			snap := simerr.Snapshot{Workload: w.Name, Technique: all[i].name}
+			perr, err := replayContained(ctx, data, snap, probes[i])
+			if err != nil {
+				return nil, err
+			}
+			if perr != nil {
+				br.Errors[all[i].name] = perr
 			}
 		}
 	}
-	for _, g := range guards {
-		if g.err != nil {
-			br.Errors[g.name] = g.err
+	// A run that panicked stopped short of the integrity digest. When
+	// every technique failed, no run reached it: decode once more with
+	// no probe attached, so a corrupt stream still fails the replay
+	// instead of surfacing as probe errors.
+	if len(br.Errors) == len(all) {
+		perr, err := replayContained(ctx, data, simerr.Snapshot{Workload: w.Name})
+		if err != nil {
+			return nil, err
+		}
+		if perr != nil {
+			return nil, perr
 		}
 	}
 	br.land(sel, probes)
 	return br, nil
+}
+
+// replayContained decodes data into probes, converting a panic into a
+// typed error carrying snap instead of letting it unwind the
+// goroutine.
+func replayContained(ctx context.Context, data []byte, snap simerr.Snapshot, probes ...cpu.Probe) (panicErr *simerr.Error, streamErr error) {
+	defer func() {
+		if v := recover(); v != nil {
+			panicErr = simerr.FromPanic(v, snap)
+		}
+	}()
+	_, streamErr = trace.ReplayBytes(ctx, data, probes...)
+	return nil, streamErr
 }
 
 // RunProgramContext is the panic-free, cancellable entry point: it
@@ -457,7 +403,7 @@ func replay(ctx context.Context, w workloads.Workload, p *program.Program, rc Ru
 // cancellation — comes back as a typed *simerr.Error; a cancelled or
 // failed run returns a nil BenchRun, never a partial profile.
 func RunProgramContext(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig) (*BenchRun, error) {
-	return runTechniques(ctx, w, p, rc, techniques)
+	return newCaptureJob(w, p, rc).run(ctx, rc, techniques, runtime.GOMAXPROCS(0))
 }
 
 // RunTechniquesContext is RunProgramContext for a subset of the
@@ -466,27 +412,32 @@ func RunProgramContext(ctx context.Context, w workloads.Workload, p *program.Pro
 // pays for no other probe. Each profile is byte-identical to the same
 // technique's profile from a full RunProgramContext (every technique
 // keeps its own seed). Unrequested fields of the BenchRun stay nil; an
-// unknown name fails with a typed ErrInvalidConfig.
+// empty list or an unknown name fails with a typed ErrInvalidConfig
+// before anything is captured.
 func RunTechniquesContext(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, names []string) (*BenchRun, error) {
 	sel, err := selectTechniques(names)
 	if err != nil {
 		return nil, err
 	}
-	return runTechniques(ctx, w, p, rc, sel)
+	return newCaptureJob(w, p, rc).run(ctx, rc, sel, runtime.GOMAXPROCS(0))
 }
 
-func runTechniques(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, sel []technique) (br *BenchRun, err error) {
+// run looks up j's capture in the trace store (simulating on a miss)
+// and replays it to sel under rc across groups goroutines (see replay).
+// rc may differ from j.rc only in the sampling knobs, which the capture
+// key leaves out.
+func (j captureJob) run(ctx context.Context, rc RunConfig, sel []technique, groups int) (br *BenchRun, err error) {
 	defer func() {
 		if err != nil {
 			br = nil
 		}
 	}()
-	defer simerr.Recover(&err, simerr.Snapshot{Workload: w.Name, Program: p.Name})
-	data, stats, err := capturedTrace(ctx, p, rc)
+	defer simerr.Recover(&err, simerr.Snapshot{Workload: j.w.Name, Program: j.p.Name})
+	data, stats, err := j.capture(ctx)
 	if err != nil {
 		return nil, err
 	}
-	br, err = replay(ctx, w, p, rc, data, sel)
+	br, err = replay(ctx, j.w, j.p, rc, data, sel, groups)
 	if err != nil {
 		return nil, err
 	}
@@ -504,15 +455,25 @@ func runTechniques(ctx context.Context, w workloads.Workload, p *program.Program
 //tealint:ctxroot crash-loudly harness entry point with no caller context; cancellable callers use RunProgramContext
 func RunProgram(w workloads.Workload, p *program.Program, rc RunConfig) *BenchRun {
 	br, err := RunProgramContext(context.Background(), w, p, rc)
+	if se := runFailure(br, err, w.Name); se != nil {
+		panic(se)
+	}
+	return br
+}
+
+// runFailure is the crash-loudly check of RunProgram and the grid
+// runner: the run's own error, else the first failed technique's in
+// registry order, else nil.
+func runFailure(br *BenchRun, err error, workload string) *simerr.Error {
 	if err != nil {
-		panic(asSimErr(err, w.Name))
+		return asSimErr(err, workload)
 	}
 	for _, t := range techniques {
 		if terr := br.Errors[t.name]; terr != nil {
-			panic(asSimErr(terr, w.Name))
+			return asSimErr(terr, workload)
 		}
 	}
-	return br
+	return nil
 }
 
 // asSimErr surfaces the typed error inside err, wrapping foreign errors
@@ -544,36 +505,12 @@ func RunProgramLive(w workloads.Workload, p *program.Program, rc RunConfig) *Ben
 
 // RunSuite runs the whole benchmark suite in two scheduled phases:
 // every distinct capture first (parallel across workloads, deduplicated
-// through the trace store), then every replay from the shared bytes.
-// Each simulation is single-threaded and seeded, so results are
-// identical to a serial run — and to a run that hit the cache.
+// through the trace store), then every replay from the shared bytes,
+// one workload per goroutine. Each simulation is single-threaded and
+// seeded, so results are identical to a serial run — and to a run that
+// hit the cache.
 //
 //tealint:ctxroot suite entry point invoked by the experiment CLIs, which have no context to thread
 func RunSuite(rc RunConfig) []*BenchRun {
-	jobs := suiteJobs(rc)
-	if err := scheduleCaptures(context.Background(), jobs); err != nil {
-		panic(asSimErr(err, ""))
-	}
-	runs := make([]*BenchRun, len(jobs))
-	par := runtime.GOMAXPROCS(0)
-	if par > len(jobs) {
-		par = len(jobs)
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for p := 0; p < par; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				runs[i] = RunProgram(jobs[i].w, jobs[i].p, rc)
-			}
-		}()
-	}
-	for i := range jobs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return runs
+	return runGrid(context.Background(), suiteJobs(rc), []RunConfig{rc})[0]
 }

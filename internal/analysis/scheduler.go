@@ -15,16 +15,24 @@ import (
 	"sync"
 
 	"repro/internal/program"
+	"repro/internal/simerr"
 	"repro/internal/tracestore"
 	"repro/internal/workloads"
 )
 
 // captureJob is one (workload, program, config) cell of an experiment
-// grid.
+// grid, keyed once: hashing a program's full contents costs about a
+// millisecond, and a grid needs the key for the dedupe, the capture
+// and every replay's store lookup.
 type captureJob struct {
-	w  workloads.Workload
-	p  *program.Program
-	rc RunConfig
+	w   workloads.Workload
+	p   *program.Program
+	rc  RunConfig
+	key tracestore.Key
+}
+
+func newCaptureJob(w workloads.Workload, p *program.Program, rc RunConfig) captureJob {
+	return captureJob{w: w, p: p, rc: rc, key: captureKey(p, captureConfig(rc))}
 }
 
 // suiteJobs builds the one-job-per-workload grid for rc.
@@ -32,7 +40,7 @@ func suiteJobs(rc RunConfig) []captureJob {
 	all := workloads.All()
 	jobs := make([]captureJob, len(all))
 	for i, w := range all {
-		jobs[i] = captureJob{w: w, p: w.Build(rc.iters(w)), rc: rc}
+		jobs[i] = newCaptureJob(w, w.Build(rc.iters(w)), rc)
 	}
 	return jobs
 }
@@ -49,33 +57,15 @@ func scheduleCaptures(ctx context.Context, jobs []captureJob) error {
 	seen := make(map[tracestore.Key]bool, len(jobs))
 	distinct := make([]captureJob, 0, len(jobs))
 	for _, j := range jobs {
-		k := captureKey(j.p, captureConfig(j.rc))
-		if !seen[k] {
-			seen[k] = true
+		if !seen[j.key] {
+			seen[j.key] = true
 			distinct = append(distinct, j)
 		}
 	}
-	par := runtime.GOMAXPROCS(0)
-	if par > len(distinct) {
-		par = len(distinct)
-	}
 	errs := make([]error, len(distinct))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for p := 0; p < par; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				_, _, errs[i] = capturedTrace(ctx, distinct[i].p, distinct[i].rc)
-			}
-		}()
-	}
-	for i := range distinct {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	forEach(len(distinct), func(i int) {
+		_, _, errs[i] = distinct[i].capture(ctx)
+	})
 	// Deterministic error selection: the first failing job in grid
 	// order, regardless of which goroutine hit it.
 	for _, err := range errs {
@@ -84,6 +74,57 @@ func scheduleCaptures(ctx context.Context, jobs []captureJob) error {
 		}
 	}
 	return nil
+}
+
+// runGrid is the grid runner of RunSuite and FrequencySweep: it
+// schedules the jobs' captures, then replays every job under every
+// config in rcs, returning the runs indexed [config][job]. The grid
+// already keeps every CPU busy with GOMAXPROCS replays at once, so each
+// replay runs its probes on one goroutine and decodes its trace once.
+// A grid figure needs every cell, so any failure — a capture, a
+// stream, or a single technique — panics with the first failing cell's
+// typed error in grid order.
+func runGrid(ctx context.Context, jobs []captureJob, rcs []RunConfig) [][]*BenchRun {
+	if err := scheduleCaptures(ctx, jobs); err != nil {
+		panic(asSimErr(err, ""))
+	}
+	runs := make([][]*BenchRun, len(rcs))
+	for c := range rcs {
+		runs[c] = make([]*BenchRun, len(jobs))
+	}
+	fails := make([]*simerr.Error, len(rcs)*len(jobs))
+	forEach(len(fails), func(i int) {
+		c, j := i/len(jobs), i%len(jobs)
+		br, err := jobs[j].run(ctx, rcs[c], techniques, 1)
+		runs[c][j], fails[i] = br, runFailure(br, err, jobs[j].w.Name)
+	})
+	for _, se := range fails {
+		if se != nil {
+			panic(se)
+		}
+	}
+	return runs
+}
+
+// forEach calls fn(0) … fn(n-1) on min(GOMAXPROCS, n) goroutines and
+// returns once every call has.
+func forEach(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	work := make(chan int)
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				fn(i)
+			}
+		}()
+	}
+	for i := range n {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
 }
 
 // SweepSeed derives the sampler seed for one frequency-sweep point

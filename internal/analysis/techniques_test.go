@@ -6,7 +6,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/pics"
 	"repro/internal/simerr"
 )
@@ -78,27 +77,42 @@ func TestSelectiveReplayUnknownTechnique(t *testing.T) {
 	}
 }
 
+// TestSelectiveReplayEmptyList: asking for no technique is a typed
+// configuration error raised before anything is captured, not a
+// simulation that feeds zero probes.
+func TestSelectiveReplayEmptyList(t *testing.T) {
+	rc := testRC()
+	w, p := testProgram(t, rc)
+	prev := SetTraceStore(NewTraceStore(DefaultStoreBudget, ""))
+	defer SetTraceStore(prev)
+	start := CaptureCount()
+	br, err := RunTechniquesContext(context.Background(), w, p, rc, nil)
+	if br != nil || !errors.Is(err, simerr.ErrInvalidConfig) {
+		t.Fatalf("got %v, %v; want nil and ErrInvalidConfig", br, err)
+	}
+	if got := CaptureCount() - start; got != 0 {
+		t.Fatalf("empty technique list performed %d captures; want 0", got)
+	}
+}
+
 // TestUnrequestedPanickingProbeContained: a probe nobody asked for that
-// panics mid-replay voids only itself; the requested technique still
-// renders byte-identically to a clean run.
+// panics mid-replay, in any hook and through either replay path, voids
+// only itself; the requested technique still renders byte-identically
+// to a clean run.
 func TestUnrequestedPanickingProbeContained(t *testing.T) {
 	rc := testRC()
 	w, p := testProgram(t, rc)
+	sel, err := selectTechniques([]string{"tea"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	clean, err := RunTechniquesContext(context.Background(), w, p, rc, []string{"tea"})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	testExtraProbe = func() (string, cpu.Probe) { return "chaos-probe", &panicProbe{} }
-	defer func() { testExtraProbe = nil }()
-	br, err := RunTechniquesContext(context.Background(), w, p, rc, []string{"tea"})
-	if err != nil {
-		t.Fatalf("run with panicking probe must not fail outright: %v", err)
-	}
-	if _, ok := br.Errors["chaos-probe"]; !ok || len(br.Errors) != 1 {
-		t.Fatalf("errors %v, want only chaos-probe", br.Errors)
-	}
-	if !bytes.Equal(renderJSON(t, br.TEA), renderJSON(t, clean.TEA)) {
-		t.Error("tea profile differs from the clean run")
+	for _, hook := range panicHooks {
+		t.Run(hook, func(t *testing.T) {
+			checkContained(t, w, p, rc, sel, clean, chaosTechnique("chaos-probe", hook))
+		})
 	}
 }

@@ -114,6 +114,46 @@ func TestSuiteReplayEquivalence(t *testing.T) {
 	}
 }
 
+// TestRunSuiteReplayEquivalence pins the grid path: RunSuite replays
+// each workload on one goroutine from the scheduler's shared captures,
+// and every profile it produces must render byte-identically to live
+// attachment.
+func TestRunSuiteReplayEquivalence(t *testing.T) {
+	rc := analysis.DefaultRunConfig()
+	rc.Scale = 0.05
+	rc.Interval = 64
+	rc.Jitter = 8
+
+	prev := analysis.SetTraceStore(analysis.NewTraceStore(analysis.DefaultStoreBudget, ""))
+	defer analysis.SetTraceStore(prev)
+	runs := analysis.RunSuite(rc)
+	for i, w := range workloads.All() {
+		iters := int(float64(w.DefaultIters) * rc.Scale)
+		if iters < 2 {
+			iters = 2
+		}
+		live := analysis.RunProgramLive(w, w.Build(iters), rc)
+		if runs[i].Workload.Name != w.Name || runs[i].Stats.Cycles != live.Stats.Cycles {
+			t.Errorf("%s: suite run %s, %d cycles; live %d cycles",
+				w.Name, runs[i].Workload.Name, runs[i].Stats.Cycles, live.Stats.Cycles)
+		}
+		for _, name := range analysis.ProfileTechniques() {
+			lb, err := marshal(live.Profile(name))
+			if err != nil {
+				t.Fatalf("%s/%s: live marshal: %v", w.Name, name, err)
+			}
+			sb, err := marshal(runs[i].Profile(name))
+			if err != nil {
+				t.Fatalf("%s/%s: suite marshal: %v", w.Name, name, err)
+			}
+			if !bytes.Equal(lb, sb) {
+				t.Errorf("%s/%s: RunSuite profile JSON differs from live (%d vs %d bytes)",
+					w.Name, name, len(sb), len(lb))
+			}
+		}
+	}
+}
+
 // TestFrequencySweepSharedCaptureEquivalence pins the suite-scheduler
 // half of the dedup tentpole: FrequencySweep captures each workload
 // once and replays it per interval, and its results must be exactly —

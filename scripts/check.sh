@@ -73,6 +73,10 @@ go test -bench=. -benchtime=1x -timeout 30m . >"$bench_out"
 go run ./cmd/teabench -label gate <"$bench_out" >"$bench_json"
 go run ./cmd/teadiff -mode bench -baseline BENCH_2026-08-08_v4codec.json -current "$bench_json"
 
+# End-to-end benchmark smoke: bench/ is its own module, out of reach of
+# `go build ./...`; its smoke test keeps it compiling and running.
+make bench-smoke
+
 # Codec gate: the v4-vs-v3 codec benchmarks' deterministic metrics
 # (byte totals, record counts, compression ratios, v4 digest halves)
 # must be bit-identical to the committed baseline — any drift means the
