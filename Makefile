@@ -2,7 +2,7 @@ GO      ?= go
 BINDIR  := bin
 TEALINT := $(BINDIR)/tealint
 
-.PHONY: all build test race vet lint check chaos fuzz bench bench-smoke bench-checkpoint bench-codec serve smoke load clean
+.PHONY: all build test race vet lint check chaos fuzz bench bench-smoke bench-codec serve smoke load clean
 
 all: build
 
@@ -88,29 +88,6 @@ bench:
 bench-smoke:
 	cd bench && $(GO) test .
 
-# bench-checkpoint is the before/after evidence for interval-parallel
-# capture: the same BenchmarkSuiteCapture run serially and with
-# checkpointed capture (knobs via env, mirroring teaexp's
-# -checkpoint-interval/-capture-workers flags). teadiff then gates the
-# deterministic trace metrics — the stitched suite capture must be
-# bit-identical to serial. ns/op is the wall-clock column and is never
-# gated: the speedup needs idle cores, and a 1-core host legitimately
-# shows overhead instead.
-CKPT_INTERVAL ?= 50000
-CKPT_WORKERS  ?= 4
-BENCH_DATE    := $(shell date +%Y-%m-%d)
-bench-checkpoint:
-	$(GO) test -bench='^BenchmarkSuiteCapture$$' -benchmem -benchtime=1x -timeout 30m . \
-		| $(GO) run ./cmd/teabench -label checkpoint-baseline \
-			-o BENCH_$(BENCH_DATE)_checkpoint-baseline.json
-	TEA_CHECKPOINT_INTERVAL=$(CKPT_INTERVAL) TEA_CAPTURE_WORKERS=$(CKPT_WORKERS) \
-		$(GO) test -bench='^BenchmarkSuiteCapture$$' -benchmem -benchtime=1x -timeout 30m . \
-		| $(GO) run ./cmd/teabench -label checkpoint \
-			-o BENCH_$(BENCH_DATE)_checkpoint.json
-	$(GO) run ./cmd/teadiff -mode bench \
-		-baseline BENCH_$(BENCH_DATE)_checkpoint-baseline.json \
-		-current BENCH_$(BENCH_DATE)_checkpoint.json
-
 # bench-codec is the committed evidence for trace format v4: encode and
 # decode versus the retired v3 codec over the same pre-recorded event
 # sequence (no simulation in the timed loop), plus the suite-wide byte
@@ -119,6 +96,7 @@ bench-checkpoint:
 # bit-identical to the committed baseline; ns/op carries the
 # encode/decode throughput story and is informational.
 CODEC_BASELINE ?= BENCH_2026-08-08_codec.json
+BENCH_DATE     := $(shell date +%Y-%m-%d)
 bench-codec:
 	$(GO) test ./internal/trace -run='^$$' -bench='^BenchmarkCodec' -benchmem -benchtime=10x -timeout 30m \
 		| $(GO) run ./cmd/teabench -label codec -o BENCH_$(BENCH_DATE)_codec.json

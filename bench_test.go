@@ -11,7 +11,6 @@ import (
 	"context"
 	"io"
 	"os"
-	"strconv"
 	"testing"
 
 	"repro/internal/analysis"
@@ -365,19 +364,12 @@ func BenchmarkJitterAblation(b *testing.B) {
 	b.ReportMetric(100*avg.WithoutJitter, "fixed_err_%")
 }
 
-// BenchmarkSuiteCapture measures raw trace capture for the whole suite
-// under the capture-parallelism knobs from the environment
-// (TEA_CHECKPOINT_INTERVAL / TEA_CAPTURE_WORKERS, mirroring cmd/teaexp
-// flags; unset means serial capture). `make bench-checkpoint` runs it
-// both ways into BENCH_<date>_checkpoint-baseline.json and
-// BENCH_<date>_checkpoint.json. Every reported metric is a
-// deterministic function of the captured trace bytes, so `teadiff
-// -mode bench` passing on the pair proves the stitched captures are
-// byte-identical to serial; ns/op carries the wall-clock story and is
-// informational (a single-core host shows overhead, not speedup).
+// BenchmarkSuiteCapture measures raw trace capture for the whole suite.
+// Every reported metric except ns/op is a deterministic function of the
+// captured trace bytes, so `teadiff -mode bench` against a committed
+// BENCH file proves the suite's traces are byte-identical to the ones
+// it recorded.
 func BenchmarkSuiteCapture(b *testing.B) {
-	ckptInterval, _ := strconv.ParseUint(os.Getenv("TEA_CHECKPOINT_INTERVAL"), 10, 64)
-	workers, _ := strconv.Atoi(os.Getenv("TEA_CAPTURE_WORKERS"))
 	rc := benchConfig()
 	var traceBytes, cycles, digest uint64
 	for i := 0; i < b.N; i++ {
@@ -385,8 +377,7 @@ func BenchmarkSuiteCapture(b *testing.B) {
 		digest = 14695981039346656037 // FNV-1a offset basis
 		for _, w := range workloads.All() {
 			p := w.Build(rc.Iters(w))
-			data, st, err := analysis.CaptureTraceCheckpointed(
-				context.Background(), p, rc, ckptInterval, workers)
+			data, st, err := analysis.CaptureTrace(context.Background(), p, rc)
 			if err != nil {
 				b.Fatal(err)
 			}

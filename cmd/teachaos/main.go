@@ -4,11 +4,8 @@
 // record swaps) and v4-codec-targeted damage: corrupted pattern-table
 // tokens (token@N) and column boundaries (collen@N length prefixes,
 // colswap@A.B cross-column byte swaps). The contract it enforces:
-// every fault — a mutated trace stream or a corrupted serialized
-// checkpoint — yields either byte-identical profiles or a typed error
-// — never a crash, a hang, or a silently wrong profile (a corrupt
-// checkpoint must fail decoding rather than restore a core that would
-// record a diverged trace).
+// every mutated trace stream yields either byte-identical profiles or
+// a typed error — never a crash, a hang, or a silently wrong profile.
 //
 //	teachaos [-seed n] [-workload name|all] [-scale f] [-disk] [-v]
 //

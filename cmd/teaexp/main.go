@@ -25,11 +25,7 @@
 // Flags: -scale trades evaluation size for runtime; -interval sets the
 // sampling period in cycles; -tracecache points the content-addressed
 // trace store at a directory (default $TEA_TRACE_CACHE), so repeated
-// invocations replay persisted captures instead of re-simulating;
-// -checkpoint-interval enables interval-parallel capture (trace
-// segments simulated from checkpoints and stitched — byte-identical
-// results, lower capture latency on multi-core hosts) with
-// -capture-workers bounding its worker pool.
+// invocations replay persisted captures instead of re-simulating.
 package main
 
 import (
@@ -49,10 +45,6 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	tracecache := flag.String("tracecache", os.Getenv("TEA_TRACE_CACHE"),
 		"directory for the persistent trace cache (\"\" disables the disk tier)")
-	ckptInterval := flag.Uint64("checkpoint-interval", 0,
-		"capture traces as stitched parallel segments from checkpoints every n committed instructions (0: serial capture)")
-	captureWorkers := flag.Int("capture-workers", 0,
-		"segment worker pool for checkpointed capture (0: GOMAXPROCS)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: teaexp [-scale f] [-interval n] <experiment-id|all>")
@@ -63,8 +55,6 @@ func main() {
 	rc.Scale = *scale
 	rc.Interval = *interval
 	rc.Jitter = *interval / 16
-	rc.CheckpointInterval = *ckptInterval
-	rc.CaptureWorkers = *captureWorkers
 	if *tracecache != "" {
 		analysis.SetTraceStore(analysis.NewTraceStore(analysis.DefaultStoreBudget, *tracecache))
 	}

@@ -15,9 +15,10 @@ import (
 )
 
 // DefaultStoreBudget is the default memory-tier budget of the process
-// trace store. Suite traces are a few MB each (~7 bytes/cycle), so the
-// budget comfortably holds every capture the benchmark harness needs
-// while still bounding a pathological run.
+// trace store. Suite traces are tens of KB each (~0.13 bytes/cycle;
+// the whole suite at scale 0.25 is 388,366 bytes), so the budget
+// comfortably holds every capture the benchmark harness needs while
+// still bounding a pathological run.
 const DefaultStoreBudget = 512 << 20
 
 // NewTraceStore builds a trace store wired with this package's entry
@@ -62,10 +63,10 @@ var captureCount atomic.Uint64
 // path has performed in this process.
 func CaptureCount() uint64 { return captureCount.Load() }
 
-// Codec totals: every finished capture writer (serial or stitched)
-// folds its trace.Counters in here, so operators can see suite-wide
-// logical-vs-encoded bytes — the basis for sizing the disk tier — on
-// /v1/stats without re-scanning any stream.
+// Codec totals: every finished capture writer folds its trace.Counters
+// in here, so operators can see suite-wide logical-vs-encoded bytes —
+// the basis for sizing the disk tier — on /v1/stats without re-scanning
+// any stream.
 var (
 	codecCaptures atomic.Uint64
 	codecRecords  atomic.Uint64
@@ -126,8 +127,9 @@ func captureKey(p *program.Program, rc RunConfig) tracestore.Key {
 	h.Uint(rc.Seed)
 	h.Float(rc.Scale)
 	h.CPUConfig(rc.Core)
-	h.Uint(rc.CheckpointInterval)
-	h.Uint(uint64(rc.CaptureWorkers))
+	// Zeros where two retired capture knobs were hashed keep old keys valid.
+	h.Uint(0)
+	h.Uint(0)
 	return h.Sum()
 }
 
@@ -143,10 +145,6 @@ func captureKey(p *program.Program, rc RunConfig) tracestore.Key {
 func captureConfig(rc RunConfig) RunConfig {
 	rc.Interval, rc.Jitter, rc.Seed = 0, 0, 0
 	rc.Scale = 0
-	// The checkpoint knobs steer how a capture is produced, never what
-	// it contains (the parallel path is byte-identical to serial, by
-	// verification), so parallel and serial captures share one entry.
-	rc.CheckpointInterval, rc.CaptureWorkers = 0, 0
 	return rc
 }
 
@@ -154,9 +152,9 @@ func captureConfig(rc RunConfig) RunConfig {
 // trace format version, the program, the canonical capture
 // configuration (captureConfig), and the sampling knobs Interval,
 // Jitter, and Seed. Like the capture key it leaves out Scale, which is
-// already baked into the program, and the checkpoint knobs, which never
-// change a capture's bytes. Technique derives each technique's key from
-// it, so a job keying several techniques hashes its program once.
+// already baked into the program. Technique derives each technique's
+// key from it, so a job keying several techniques hashes its program
+// once.
 type ProfileKey tracestore.Key
 
 // NewProfileKey derives the profile key of running p under rc.
@@ -188,10 +186,8 @@ func (k ProfileKey) Technique(name string) tracestore.Key {
 // fresh copy each call.
 func (j captureJob) capture(ctx context.Context) ([]byte, *cpu.Stats, error) {
 	entry, err := TraceStore().GetOrPut(j.key, func() ([]byte, error) {
-		// One increment per workload simulated, regardless of how many
-		// interval segments the parallel path splits the work into.
 		captureCount.Add(1)
-		data, stats, err := CaptureTraceCheckpointed(ctx, j.p, captureConfig(j.rc), j.rc.CheckpointInterval, j.rc.CaptureWorkers)
+		data, stats, err := CaptureTrace(ctx, j.p, captureConfig(j.rc))
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/program"
+	"repro/internal/simerr"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 	"repro/internal/workloads"
@@ -129,8 +131,8 @@ func TestCaptureKeyFormatVersionSensitivity(t *testing.T) {
 	h.Uint(rc.Seed)
 	h.Float(rc.Scale)
 	h.CPUConfig(rc.Core)
-	h.Uint(rc.CheckpointInterval)
-	h.Uint(uint64(rc.CaptureWorkers))
+	h.Uint(0)
+	h.Uint(0)
 	if h.Sum() == base {
 		t.Error("capture key is not sensitive to trace.FormatVersion — a codec change would serve stale cached captures")
 	}
@@ -204,14 +206,13 @@ func TestCaptureKeyGolden(t *testing.T) {
 
 // TestProfileKeyFieldSensitivity is the reflection walk of
 // TestCaptureKeyFieldSensitivity for the profile memo's key: every
-// RunConfig leaf must move it except Scale (already in the program) and
-// the checkpoint knobs (never in a capture's bytes), which must not.
-// The program and the technique name must move it too.
+// RunConfig leaf must move it except Scale (already in the program),
+// which must not. The program and the technique name must move it too.
 func TestProfileKeyFieldSensitivity(t *testing.T) {
 	rc := testRC()
 	_, p := testProgram(t, rc)
 	base := NewProfileKey(p, rc)
-	ignored := map[string]bool{"Scale": true, "CheckpointInterval": true, "CaptureWorkers": true}
+	ignored := map[string]bool{"Scale": true}
 	for _, path := range leafFieldPaths(reflect.TypeOf(rc), nil) {
 		mutated := rc
 		v := reflect.ValueOf(&mutated).Elem().FieldByIndex(path.index)
@@ -248,6 +249,43 @@ func TestCaptureSharedAcrossSamplingKnobs(t *testing.T) {
 	}
 	if got := CaptureCount() - start; got != 1 {
 		t.Fatalf("4 runs differing only in sampling knobs performed %d captures; want 1", got)
+	}
+}
+
+// TestCaptureCancellation covers the cancellation contract of the
+// cached capture path: a canceled capture surfaces as a typed
+// ErrCanceled, leaves no partial trace-store entry behind, and reserves
+// nothing, so the same key captures cleanly afterwards.
+func TestCaptureCancellation(t *testing.T) {
+	rc := testRC()
+	w, err := workloads.ByName("deepsjeng")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Build(rc.iters(w))
+
+	prev := SetTraceStore(NewTraceStore(DefaultStoreBudget, ""))
+	defer SetTraceStore(prev)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err = newCaptureJob(w, p, rc).capture(ctx)
+	if err == nil {
+		t.Fatal("capture with canceled context succeeded")
+	}
+	var se *simerr.Error
+	if !errors.As(err, &se) || !errors.Is(err, simerr.ErrCanceled) {
+		t.Fatalf("want typed ErrCanceled, got %v", err)
+	}
+	if _, ok := TraceStore().Get(captureKey(p, captureConfig(rc))); ok {
+		t.Error("canceled capture left a partial trace-store entry")
+	}
+
+	if _, _, err := newCaptureJob(w, p, rc).capture(context.Background()); err != nil {
+		t.Fatalf("capture after canceled attempt: %v", err)
+	}
+	if _, ok := TraceStore().Get(captureKey(p, captureConfig(rc))); !ok {
+		t.Error("successful capture did not populate the store")
 	}
 }
 

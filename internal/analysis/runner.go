@@ -40,17 +40,6 @@ type RunConfig struct {
 	Scale float64
 	// Core is the core configuration (Table 2 defaults).
 	Core cpu.Config
-	// CheckpointInterval enables interval-parallel capture when > 0:
-	// the capture path checkpoints the program every this many
-	// committed instructions and simulates the intervals concurrently,
-	// stitching byte-identical trace segments (see
-	// CaptureTraceCheckpointed). 0 captures serially. The knob changes
-	// wall-clock time only — never trace bytes, profiles, or cache
-	// keys.
-	CheckpointInterval uint64
-	// CaptureWorkers bounds the interval-parallel capture worker pool
-	// (0 = GOMAXPROCS). Ignored when CheckpointInterval is 0.
-	CaptureWorkers int
 }
 
 // DefaultRunConfig returns the evaluation configuration. The sampling

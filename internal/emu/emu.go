@@ -43,9 +43,6 @@ func (d *Inst) IsBranch() bool { return isa.IsBranch(d.Static.Op) }
 // Memory is the functional data memory: a sparse map of 8-byte words.
 type Memory struct {
 	words map[uint64]uint64
-	// dirty, when non-nil, records the word addresses stored to since
-	// the last TakeDirty call (checkpoint delta tracking).
-	dirty map[uint64]struct{}
 }
 
 // NewMemory returns a memory initialized from the program's data image.
@@ -63,12 +60,7 @@ func NewMemory(init map[uint64]uint64) *Memory {
 func (m *Memory) Load(addr uint64) uint64 { return m.words[addr&^7] }
 
 // Store writes the 8-byte word containing addr.
-func (m *Memory) Store(addr, val uint64) {
-	m.words[addr&^7] = val
-	if m.dirty != nil {
-		m.dirty[addr&^7] = struct{}{}
-	}
-}
+func (m *Memory) Store(addr, val uint64) { m.words[addr&^7] = val }
 
 // Stream generates the dynamic instruction stream for a program.
 type Stream struct {

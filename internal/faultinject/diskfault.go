@@ -1,7 +1,7 @@
 // Disk-fault injection under the durability layer. Where
-// faultinject.go corrupts trace and checkpoint bytes, this file stands
-// a failing filesystem underneath the job journal (journal.FS is the
-// seam) and asserts the service-level robustness contract:
+// faultinject.go corrupts trace bytes, this file stands a failing
+// filesystem underneath the job journal (journal.FS is the seam) and
+// asserts the service-level robustness contract:
 //
 //	under any disk fault — torn final record, mid-stream bit flip,
 //	ENOSPC, EIO, slow I/O — the server never panics and never serves

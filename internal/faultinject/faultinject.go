@@ -1,10 +1,10 @@
 // Package faultinject is the chaos harness for the capture/replay
 // pipeline. It deterministically mutates recorded traces (truncation,
 // bit flips, record reordering, and v4-codec-targeted damage to
-// pattern tables and column boundaries), corrupts serialized
-// checkpoints, and builds pathological programs (self-loops,
-// never-hitting loads, maximal dependency chains), then asserts the
-// pipeline's robustness contract on every mutant:
+// pattern tables and column boundaries) and builds pathological
+// programs (self-loops, never-hitting loads, maximal dependency
+// chains), then asserts the pipeline's robustness contract on every
+// mutant:
 //
 //	every fault yields either a byte-identical profile or a typed
 //	*simerr.Error — never a panic, never a hang, never a silently
@@ -20,11 +20,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/checkpoint"
 	"repro/internal/isa"
 	"repro/internal/pics"
 	"repro/internal/program"
@@ -62,12 +60,6 @@ type Config struct {
 	// column length prefixes and cross-column byte swaps, the faults
 	// that make one column's bytes parse as another's.
 	ColumnFaults int
-	// CheckpointTruncations is the number of truncated serialized-
-	// checkpoint mutants.
-	CheckpointTruncations int
-	// CheckpointBitFlips is the number of bit-flipped serialized-
-	// checkpoint mutants.
-	CheckpointBitFlips int
 	// Timeout bounds each mutant replay; a mutant exceeding it counts
 	// as a hang, which is a contract violation.
 	Timeout time.Duration
@@ -76,16 +68,14 @@ type Config struct {
 // DefaultConfig returns the sweep size used by the chaos smoke test.
 func DefaultConfig(seed uint64) Config {
 	return Config{
-		Seed:                  seed,
-		Truncations:           64,
-		MidTruncations:        16,
-		BitFlips:              64,
-		Swaps:                 16,
-		TokenFaults:           32,
-		ColumnFaults:          32,
-		CheckpointTruncations: 32,
-		CheckpointBitFlips:    32,
-		Timeout:               60 * time.Second,
+		Seed:           seed,
+		Truncations:    64,
+		MidTruncations: 16,
+		BitFlips:       64,
+		Swaps:          16,
+		TokenFaults:    32,
+		ColumnFaults:   32,
+		Timeout:        60 * time.Second,
 	}
 }
 
@@ -244,56 +234,6 @@ func codecFaults(data []byte, cfg Config, rng *rand.Rand) []Fault {
 		faults = append(faults, Fault{Name: name, Data: mut})
 	}
 	return faults
-}
-
-// CheckpointFaults derives the deterministic corrupt-checkpoint set
-// for one serialized checkpoint: truncations at seeded positions and
-// single-bit flips anywhere in the stream, digest trailer included.
-func CheckpointFaults(data []byte, cfg Config) []Fault {
-	rng := rand.New(rand.NewSource(int64(cfg.Seed) + 1))
-	var faults []Fault
-	for i := 0; i < cfg.CheckpointTruncations; i++ {
-		cut := rng.Intn(len(data))
-		faults = append(faults, Fault{
-			Name: fmt.Sprintf("cp-truncate@%d", cut),
-			Data: append([]byte(nil), data[:cut]...),
-		})
-	}
-	for i := 0; i < cfg.CheckpointBitFlips; i++ {
-		pos := rng.Intn(len(data))
-		bit := byte(1) << uint(rng.Intn(8))
-		mut := append([]byte(nil), data...)
-		mut[pos] ^= bit
-		faults = append(faults, Fault{
-			Name: fmt.Sprintf("cp-bitflip@%d.%d", pos, bit),
-			Data: mut,
-		})
-	}
-	return faults
-}
-
-// decodeCheckpointMutant applies the corrupt-checkpoint contract to
-// one mutant: Decode must return a typed *simerr.Error — a corrupt
-// snapshot must never restore a core (which could silently record a
-// wrong trace and therefore a wrong profile), and must never panic.
-func decodeCheckpointMutant(mut []byte) (ok bool, detail string) {
-	defer func() {
-		if v := recover(); v != nil {
-			ok, detail = false, fmt.Sprintf("VIOLATION: panic escaped checkpoint decoding: %v", v)
-		}
-	}()
-	cp, err := checkpoint.Decode(mut)
-	if err == nil {
-		return false, "VIOLATION: corrupt checkpoint decoded cleanly — a restored core would diverge silently"
-	}
-	if cp != nil {
-		return false, "VIOLATION: Decode returned a checkpoint alongside its error"
-	}
-	var se *simerr.Error
-	if !errors.As(err, &se) {
-		return false, fmt.Sprintf("VIOLATION: untyped error: %v", err)
-	}
-	return true, fmt.Sprintf("typed error: %v", se.Kind)
 }
 
 // ProgramFault is one pathological-program scenario: a program built
@@ -476,7 +416,7 @@ func Sweep(w workloads.Workload, rc analysis.RunConfig, cfg Config) (*Report, er
 
 	p := w.Build(int(float64(w.DefaultIters) * rc.Scale))
 	ctx := context.Background()
-	data, stats, err := analysis.CaptureTrace(ctx, p, rc)
+	data, _, err := analysis.CaptureTrace(ctx, p, rc)
 	if err != nil {
 		return nil, fmt.Errorf("faultinject: baseline capture: %w", err)
 	}
@@ -501,34 +441,6 @@ func Sweep(w workloads.Workload, rc analysis.RunConfig, cfg Config) (*Report, er
 	for _, f := range faults {
 		ok, detail := replayMutant(w, p, rc, f.Data, cfg.Timeout, baseline)
 		rep.add(f.Name, ok, detail)
-	}
-
-	// Checkpoint corruption: serialize a real snapshot of this program
-	// and corrupt it. The unmutated control must roundtrip exactly;
-	// every mutant must fail decoding with a typed error.
-	interval := stats.Committed / 4
-	if interval < 2 {
-		interval = 2
-	}
-	gen, err := checkpoint.Generate(ctx, p, rc.Core, checkpoint.Plan{Interval: interval})
-	if err != nil {
-		return nil, fmt.Errorf("faultinject: checkpoint generation: %w", err)
-	}
-	if len(gen.Checkpoints) > 0 {
-		enc := gen.Checkpoints[0].Encode()
-		cp0, derr := checkpoint.Decode(enc)
-		switch {
-		case derr != nil:
-			rep.add("cp-control-unmutated", false, fmt.Sprintf("VIOLATION: pristine checkpoint failed to decode: %v", derr))
-		case !reflect.DeepEqual(cp0, gen.Checkpoints[0]):
-			rep.add("cp-control-unmutated", false, "VIOLATION: pristine checkpoint roundtrip diverged")
-		default:
-			rep.add("cp-control-unmutated", true, "identical")
-		}
-		for _, f := range CheckpointFaults(enc, cfg) {
-			ok, detail := decodeCheckpointMutant(f.Data)
-			rep.add(f.Name, ok, detail)
-		}
 	}
 
 	for _, pf := range PathologicalPrograms() {

@@ -8,10 +8,10 @@
 // byte-identical to what the pre-crash server served) and to re-enqueue
 // jobs a crash interrupted.
 //
-// The WAL borrows the framing discipline of the checkpoint and trace
-// codecs: a magic+version header, then length-prefixed records each
-// sealed by an FNV-1a digest. Recovery distinguishes the two ways a
-// log can be damaged:
+// The WAL borrows the framing discipline of the trace codec: a
+// magic+version header, then length-prefixed records each sealed by an
+// FNV-1a digest. Recovery distinguishes the two ways a log can be
+// damaged:
 //
 //   - A torn tail — the file ends inside a record, the signature of a
 //     crash mid-append. The tail is truncated (and reported), because
@@ -53,7 +53,7 @@ const (
 	resultsDir = "results"
 )
 
-// FNV-1a, the same digest the checkpoint codec uses.
+// FNV-1a, the same digest family the trace codec uses.
 const (
 	digestOffset uint64 = 14695981039346656037
 	digestPrime  uint64 = 1099511628211

@@ -171,7 +171,7 @@ type ProfileMemoView struct {
 // compression ratio operators use to size the disk tier and estimate
 // transfer cost.
 type CodecStatsView struct {
-	// Captures counts trace streams written (serial or stitched).
+	// Captures counts trace streams written.
 	Captures uint64 `json:"captures"`
 	// Records counts records across those streams.
 	Records uint64 `json:"records"`
@@ -208,17 +208,8 @@ type StatsView struct {
 	RejectedQueue uint64 `json:"rejected_queue"`
 	// Captures counts actual simulations performed process-wide; the
 	// gap between completed jobs and captures is the cross-tenant dedup
-	// win. A capture counts once per workload regardless of how many
-	// checkpointed segments recorded it.
+	// win.
 	Captures uint64 `json:"captures"`
-	// ParallelCaptures counts captures that completed via stitched
-	// checkpoint segments; ParallelSegments is the total segments those
-	// captures recorded; ParallelFallbacks counts checkpointed captures
-	// that reverted to serial after a fingerprint mismatch (the result
-	// is still exact — the fallback is the accuracy backstop).
-	ParallelCaptures  uint64 `json:"parallel_captures"`
-	ParallelSegments  uint64 `json:"parallel_segments"`
-	ParallelFallbacks uint64 `json:"parallel_fallbacks"`
 	// TraceStore is the shared cache tier's traffic.
 	TraceStore StoreStatsView `json:"tracestore"`
 	// ProfileMemo is this server's memo of rendered profiles.
@@ -430,12 +421,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap := StoreSnapshot()
 	view := StatsView{
-		Workers:           s.cfg.Workers,
-		QueueCap:          s.cfg.QueueDepth,
-		Captures:          analysis.CaptureCount(),
-		ParallelCaptures:  analysis.ParallelCaptures(),
-		ParallelSegments:  analysis.ParallelSegments(),
-		ParallelFallbacks: analysis.ParallelFallbacks(),
+		Workers:  s.cfg.Workers,
+		QueueCap: s.cfg.QueueDepth,
+		Captures: analysis.CaptureCount(),
 		TraceStore: StoreStatsView{
 			Hits: snap.Hits, DiskHits: snap.DiskHits, Misses: snap.Misses,
 			Puts: snap.Puts, Evictions: snap.Evictions, DiskRejects: snap.DiskRejects,

@@ -90,16 +90,6 @@ type ConfigSpec struct {
 	// (0 < scale ≤ Config.MaxScale; ignored for inline programs, whose
 	// Iters is explicit).
 	Scale *float64 `json:"scale,omitempty"`
-	// CheckpointInterval enables interval-parallel capture: the trace is
-	// recorded as stitched segments from checkpoints taken every this
-	// many committed instructions (0 or absent: serial capture; must be
-	// ≥ 2 otherwise). Results are byte-identical either way; this is a
-	// latency knob, not an accuracy knob.
-	CheckpointInterval *uint64 `json:"checkpoint_interval,omitempty"`
-	// CaptureWorkers bounds the per-capture segment worker pool (0 or
-	// absent: GOMAXPROCS; must not be negative). Only meaningful with
-	// checkpoint_interval set.
-	CaptureWorkers *int `json:"capture_workers,omitempty"`
 }
 
 // AllTechniques lists the valid JobRequest.Techniques entries in
@@ -354,24 +344,10 @@ func (s *Server) buildJob(req *JobRequest) (*job, error) {
 		if req.Config.Scale != nil {
 			rc.Scale = *req.Config.Scale
 		}
-		if req.Config.CheckpointInterval != nil {
-			rc.CheckpointInterval = *req.Config.CheckpointInterval
-		}
-		if req.Config.CaptureWorkers != nil {
-			rc.CaptureWorkers = *req.Config.CaptureWorkers
-		}
 	}
 	if rc.Interval == 0 {
 		return nil, simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{},
 			"config.interval must be positive")
-	}
-	if rc.CheckpointInterval == 1 {
-		return nil, simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{},
-			"config.checkpoint_interval must be 0 (serial) or >= 2")
-	}
-	if rc.CaptureWorkers < 0 {
-		return nil, simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{},
-			"config.capture_workers must not be negative")
 	}
 	if rc.Scale <= 0 || rc.Scale > s.cfg.MaxScale {
 		return nil, simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{},

@@ -147,6 +147,42 @@ func TestRecoveryRequeuesInterrupted(t *testing.T) {
 	}
 }
 
+// TestRecoveryDropsRetiredCaptureKnobs: a submitted record journaled by
+// a server that still accepted config.checkpoint_interval and
+// config.capture_workers replays cleanly. Recovery drops the unknown
+// fields, so the job re-runs serially and returns the same bytes.
+func TestRecoveryDropsRetiredCaptureKnobs(t *testing.T) {
+	dir := t.TempDir()
+	writeJournalRecords(t, dir,
+		journal.Record{Type: "submitted", JobID: "j-000003", TimeUnixMs: 1000, Data: json.RawMessage(
+			`{"req":{"tenant":"t0","workload":"exchange2","techniques":["tea"],` +
+				`"config":{"scale":0.05,"checkpoint_interval":500,"capture_workers":2}}}`)},
+		journal.Record{Type: "running", JobID: "j-000003", TimeUnixMs: 2000},
+	)
+
+	ts := journaledServer(t, dir, serve.Config{Workers: 2})
+	v := await(t, ts, "j-000003")
+	if v.Status != serve.StatusDone {
+		t.Fatalf("recovered job ended %s: %+v", v.Status, v.Error)
+	}
+	resp, got := getJSON(t, ts.url("/v1/jobs/j-000003/profiles/tea"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("profile after recovery: %d", resp.StatusCode)
+	}
+	rc := analysis.DefaultRunConfig()
+	rc.Scale = 0.05
+	w, err := workloads.ByName("exchange2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := localProfiles(t, w, rc, []string{"tea"})["tea"]; !bytes.Equal(got, want) {
+		t.Fatal("recovered profile differs from a local serial run")
+	}
+	if r := statsView(t, ts).Durability.Recovery; r.MalformedRecords != 0 {
+		t.Fatalf("recovery stats: %+v; want 0 malformed records", r)
+	}
+}
+
 // TestRecoveryEdgeCases covers the replay state machine's tolerance:
 // duplicate terminal records (first wins), records for unknown job IDs
 // (skipped), and a cancel-before-crash (finalized canceled).

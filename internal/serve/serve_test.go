@@ -258,8 +258,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"zero interval", `{"workload":"mcf","config":{"interval":0}}`, 400, "invalid_config"},
 		{"negative scale", `{"workload":"mcf","config":{"scale":-1}}`, 400, "invalid_config"},
 		{"huge scale", `{"workload":"mcf","config":{"scale":1e9}}`, 400, "invalid_config"},
-		{"checkpoint interval of 1", `{"workload":"mcf","config":{"checkpoint_interval":1}}`, 400, "invalid_config"},
-		{"negative capture workers", `{"workload":"mcf","config":{"capture_workers":-1}}`, 400, "invalid_config"},
+		{"retired checkpoint interval", `{"workload":"mcf","config":{"checkpoint_interval":500}}`, 400, "bad_request"},
+		{"retired capture workers", `{"workload":"mcf","config":{"capture_workers":2}}`, 400, "bad_request"},
 		{"iters too small", `{"program":{"kind":"mcf","iters":1}}`, 400, "invalid_program"},
 		{"iters too large", `{"program":{"kind":"mcf","iters":1000000}}`, 400, "invalid_program"},
 		{"prefetch on non-lbm", `{"program":{"kind":"mcf","iters":8,"prefetch_dist":2}}`, 400, "invalid_program"},
@@ -534,60 +534,6 @@ func TestDedupAcrossTenants(t *testing.T) {
 
 	if got := analysis.CaptureCount() - before; got != 1 {
 		t.Errorf("%d identical jobs performed %d captures, want exactly 1", n, got)
-	}
-}
-
-// TestSubmitCheckpointedCapture pins the per-job capture-parallelism
-// knobs end to end: a job submitted with checkpoint_interval captures
-// its trace as stitched checkpoint segments (or their verified serial
-// fallback) and still returns profiles byte-identical to a local
-// serial run from a separate store, and /v1/stats carries the
-// parallel-capture counters.
-func TestSubmitCheckpointedCapture(t *testing.T) {
-	w, err := workloads.ByName("exchange2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := analysis.DefaultRunConfig()
-	rc.Scale = 0.05
-
-	// Serial reference from its own private store, so the two paths
-	// cannot simply share captured bytes through the cache.
-	prev := analysis.SetTraceStore(analysis.NewTraceStore(analysis.DefaultStoreBudget, ""))
-	defer analysis.SetTraceStore(prev)
-	want := localProfiles(t, w, rc, []string{"tea"})
-
-	analysis.SetTraceStore(analysis.NewTraceStore(analysis.DefaultStoreBudget, ""))
-	attempts := analysis.ParallelCaptures() + analysis.ParallelFallbacks()
-	ts := startServer(t, serve.Config{Workers: 2})
-	id := submit(t, ts, `{"workload":"exchange2","techniques":["tea"],"config":{"scale":0.05,"checkpoint_interval":500,"capture_workers":2}}`)
-	view := await(t, ts, id)
-	if view.Status != serve.StatusDone {
-		t.Fatalf("job finished %s (error: %+v), want done", view.Status, view.Error)
-	}
-	resp, got := getJSON(t, ts.url("/v1/jobs/"+id+"/profiles/tea"))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("raw tea profile: got %d; body: %s", resp.StatusCode, got)
-	}
-	if !bytes.Equal(got, want["tea"]) {
-		t.Errorf("checkpointed-capture profile differs from serial local run (%d vs %d bytes)",
-			len(got), len(want["tea"]))
-	}
-
-	if got := analysis.ParallelCaptures() + analysis.ParallelFallbacks(); got <= attempts {
-		t.Errorf("no interval-parallel capture attempt recorded (counters %d -> %d)", attempts, got)
-	}
-	resp, data := getJSON(t, ts.url("/v1/stats"))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats: got %d", resp.StatusCode)
-	}
-	var stats serve.StatsView
-	if err := json.Unmarshal(data, &stats); err != nil {
-		t.Fatalf("stats decode: %v (%s)", err, data)
-	}
-	if stats.ParallelCaptures+stats.ParallelFallbacks != analysis.ParallelCaptures()+analysis.ParallelFallbacks() {
-		t.Errorf("stats parallel counters %d+%d don't match the process counters",
-			stats.ParallelCaptures, stats.ParallelFallbacks)
 	}
 }
 

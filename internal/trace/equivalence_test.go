@@ -53,17 +53,6 @@ func TestSuiteReplayEquivalence(t *testing.T) {
 			analysis.SetTraceStore(analysis.NewTraceStore(analysis.DefaultStoreBudget, dir))
 			diskHit := analysis.RunProgram(w, p, rc)
 
-			// Stitched: interval-parallel capture into a fresh store (a
-			// shared store would serve the serial capture — the paths
-			// deliberately share one cache key), so the trace actually
-			// comes from checkpointed segments or their verified serial
-			// fallback.
-			analysis.SetTraceStore(analysis.NewTraceStore(analysis.DefaultStoreBudget, ""))
-			prc := rc
-			prc.CheckpointInterval = 1000
-			prc.CaptureWorkers = 2
-			stitched := analysis.RunProgram(w, p, prc)
-
 			for _, variant := range []struct {
 				kind     string
 				replayed *analysis.BenchRun
@@ -71,7 +60,6 @@ func TestSuiteReplayEquivalence(t *testing.T) {
 				{"fresh-capture", fresh},
 				{"memory-cache-hit", memHit},
 				{"disk-cache-hit", diskHit},
-				{"stitched-parallel-capture", stitched},
 			} {
 				replayed := variant.replayed
 				if live.Stats.Cycles != replayed.Stats.Cycles {

@@ -93,9 +93,8 @@ const (
 
 // Block geometry. The writer closes a block purely as a function of the
 // logical record sequence (record count and buffered commit-list
-// length), never of wall clock or buffer bytes, so a stitched capture
-// flushes at exactly the same records as a serial one and the streams
-// stay byte-identical.
+// length), never of wall clock or buffer bytes, so equal record
+// sequences always encode to byte-identical streams.
 const (
 	// blockRecords is the writer's per-block record budget.
 	blockRecords = 1 << 15

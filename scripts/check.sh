@@ -27,13 +27,6 @@ go test ./internal/trace -run='^$' -fuzz=FuzzReplay -fuzztime=10s
 go test ./internal/pics -run='^$' -fuzz=FuzzProfileJSON -fuzztime=10s
 go test ./internal/serve -run='^$' -fuzz=FuzzSubmit -fuzztime=10s
 
-# Stitched-vs-serial smoke: interval-parallel capture must produce
-# byte-identical traces and stats to serial capture for every suite
-# workload (via verified stitching or its fingerprint-gated serial
-# fallback), and the pinned convergent workloads must actually stitch.
-go test ./internal/analysis -count=1 \
-	-run 'TestParallelCapture(ByteIdentity|Converges)'
-
 # Server smoke: boot a real teaserve on an ephemeral port with every
 # documented flag, drive each /v1 endpoint over TCP, check the raw
 # profile bytes against an in-process analysis.RunProgram, and verify
