@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/events"
 	"repro/internal/pics"
 	"repro/internal/profilers"
 	"repro/internal/program"
@@ -125,9 +124,8 @@ func RunBenchmark(w workloads.Workload, rc RunConfig) *BenchRun {
 type technique struct {
 	name string
 	// probe builds the technique's probe. A non-nil core wires it for
-	// live attachment; with a nil core the TEA units accumulate against
-	// p (the replay path).
-	probe func(c *cpu.CPU, p *program.Program, rc RunConfig) cpu.Probe
+	// live attachment; replay passes nil.
+	probe func(c *cpu.CPU, rc RunConfig) cpu.Probe
 	// profile locates the BenchRun field a profiling technique's PICS
 	// profile lands in; nil for the statistics probes.
 	profile func(br *BenchRun) **pics.Profile
@@ -146,48 +144,47 @@ type profiler interface {
 // whether they replay together or alone.
 var techniques = []technique{
 	{name: "golden",
-		probe: func(c *cpu.CPU, p *program.Program, _ RunConfig) cpu.Probe {
-			return core.NewTEA(c, core.Config{Set: events.TEASet, EveryCycle: true, Prog: p})
+		probe: func(c *cpu.CPU, _ RunConfig) cpu.Probe {
+			return core.NewGolden(c)
 		},
 		profile: func(br *BenchRun) **pics.Profile { return &br.Golden }},
 	{name: "tea",
-		probe: func(c *cpu.CPU, p *program.Program, rc RunConfig) cpu.Probe {
+		probe: func(c *cpu.CPU, rc RunConfig) cpu.Probe {
 			cfg := core.DefaultConfig()
 			cfg.IntervalCycles = rc.Interval
 			cfg.JitterCycles = rc.Jitter
 			cfg.Seed = rc.Seed
-			cfg.Prog = p
 			return core.NewTEA(c, cfg)
 		},
 		profile: func(br *BenchRun) **pics.Profile { return &br.TEA }},
 	{name: "nci-tea",
-		probe: func(_ *cpu.CPU, _ *program.Program, rc RunConfig) cpu.Probe {
+		probe: func(_ *cpu.CPU, rc RunConfig) cpu.Probe {
 			return profilers.NewNCITEA(rc.Interval, rc.Jitter, rc.Seed+1)
 		},
 		profile: func(br *BenchRun) **pics.Profile { return &br.NCITEA }},
 	{name: "ibs",
-		probe: func(_ *cpu.CPU, _ *program.Program, rc RunConfig) cpu.Probe {
+		probe: func(_ *cpu.CPU, rc RunConfig) cpu.Probe {
 			return profilers.NewIBS(rc.Interval, rc.Jitter, rc.Seed+2)
 		},
 		profile: func(br *BenchRun) **pics.Profile { return &br.IBS }},
 	{name: "spe",
-		probe: func(_ *cpu.CPU, _ *program.Program, rc RunConfig) cpu.Probe {
+		probe: func(_ *cpu.CPU, rc RunConfig) cpu.Probe {
 			return profilers.NewSPE(rc.Interval, rc.Jitter, rc.Seed+3)
 		},
 		profile: func(br *BenchRun) **pics.Profile { return &br.SPE }},
 	{name: "ris",
-		probe: func(_ *cpu.CPU, _ *program.Program, rc RunConfig) cpu.Probe {
+		probe: func(_ *cpu.CPU, rc RunConfig) cpu.Probe {
 			return profilers.NewRIS(rc.Interval, rc.Jitter, rc.Seed+4)
 		},
 		profile: func(br *BenchRun) **pics.Profile { return &br.RIS }},
 	{name: "counters",
-		probe: func(*cpu.CPU, *program.Program, RunConfig) cpu.Probe { return profilers.NewCounters() },
+		probe: func(*cpu.CPU, RunConfig) cpu.Probe { return profilers.NewCounters() },
 		stats: func(br *BenchRun, pr cpu.Probe) { br.Counters = pr.(*profilers.Counters) }},
 	{name: "events",
-		probe: func(*cpu.CPU, *program.Program, RunConfig) cpu.Probe { return profilers.NewEventStats() },
+		probe: func(*cpu.CPU, RunConfig) cpu.Probe { return profilers.NewEventStats() },
 		stats: func(br *BenchRun, pr cpu.Probe) { br.Events = pr.(*profilers.EventStats) }},
 	{name: "stalls",
-		probe: func(*cpu.CPU, *program.Program, RunConfig) cpu.Probe { return profilers.NewStallProbe() },
+		probe: func(*cpu.CPU, RunConfig) cpu.Probe { return profilers.NewStallProbe() },
 		stats: func(br *BenchRun, pr cpu.Probe) { br.Stalls = pr.(*profilers.StallProbe) }},
 }
 
@@ -237,7 +234,7 @@ func selectTechniques(names []string) ([]technique, error) {
 }
 
 // land materializes each selected technique's result into br once
-// attribution is complete (dense accumulators flush lazily), skipping
+// attribution is complete (accumulators materialize lazily), skipping
 // any technique recorded in br.Errors.
 func (br *BenchRun) land(sel []technique, probes []cpu.Probe) {
 	for i, t := range sel {
@@ -311,7 +308,7 @@ func replay(ctx context.Context, w workloads.Workload, p *program.Program, rc Ru
 	all := append(sel[:len(sel):len(sel)], testExtraProbes...)
 	probes := make([]cpu.Probe, len(all))
 	for i, t := range all {
-		probes[i] = t.probe(nil, p, rc)
+		probes[i] = t.probe(nil, rc)
 	}
 	groups = min(groups, len(probes))
 	streamErrs := make([]error, groups)
@@ -342,7 +339,7 @@ func replay(ctx context.Context, w workloads.Workload, p *program.Program, rc Ru
 			continue
 		}
 		for i := g; i < len(all); i += groups {
-			probes[i] = all[i].probe(nil, p, rc)
+			probes[i] = all[i].probe(nil, rc)
 			snap := simerr.Snapshot{Workload: w.Name, Technique: all[i].name}
 			perr, err := replayContained(ctx, data, snap, probes[i])
 			if err != nil {
@@ -484,7 +481,7 @@ func RunProgramLive(w workloads.Workload, p *program.Program, rc RunConfig) *Ben
 	br := &BenchRun{Workload: w, Program: p, Errors: map[string]error{}}
 	probes := make([]cpu.Probe, len(techniques))
 	for i, t := range techniques {
-		probes[i] = t.probe(c, p, rc)
+		probes[i] = t.probe(c, rc)
 		c.Attach(probes[i])
 	}
 	br.Stats = c.Run()

@@ -131,11 +131,9 @@ type Config struct {
 	// EveryCycle turns the unit into the golden reference: attribution
 	// runs every cycle with weight 1 and no samples are materialized.
 	EveryCycle bool
-	// Prog, when non-nil, identifies the program under profile so the
-	// unit can accumulate into a dense per-static-instruction slice
-	// instead of maps (replay against a recorded trace has no core to
-	// derive the program from). With neither a core nor a program the
-	// unit falls back to map accumulation.
+	// Prog is ignored: the unit's accumulator sizes itself from what
+	// the stream attributes. It is kept only because bench/layers.go
+	// still sets it.
 	Prog *program.Program
 	// ChargeOverhead makes each delivered sample charge the modeled
 	// interrupt cost to the core (performance-overhead experiments).
@@ -178,9 +176,9 @@ type TEA struct {
 
 	samples   []Sample
 	pendings  []pending
-	profile   *pics.Profile
-	acc       *pics.Accum // dense accumulator when the program is known
-	keep      bool        // materialize Sample records (not just the profile)
+	acc       *pics.Accum   // attribution until Profile materializes it
+	profile   *pics.Profile // set by the first Profile call
+	keep      bool          // materialize Sample records (not just the profile)
 	SampleCnt uint64
 }
 
@@ -193,19 +191,11 @@ func NewTEA(core *cpu.CPU, cfg Config) *TEA {
 	if cfg.Set.Size() == 0 {
 		name = "TIP"
 	}
-	prog := cfg.Prog
-	if prog == nil && core != nil {
-		prog = core.Program()
-	}
 	t := &TEA{
 		cfg:  cfg,
 		core: core,
+		acc:  pics.NewAccum(name, cfg.Set),
 		keep: !cfg.EveryCycle,
-	}
-	if prog != nil {
-		t.acc = pics.NewAccum(name, cfg.Set, len(prog.Insts))
-	} else {
-		t.profile = pics.NewProfile(name, cfg.Set)
 	}
 	if !cfg.EveryCycle {
 		rng := cfg.Rand
@@ -213,23 +203,9 @@ func NewTEA(core *cpu.CPU, cfg Config) *TEA {
 			rng = SamplerSource(cfg.Seed)
 		}
 		t.sampler = NewSampler(cfg.IntervalCycles, cfg.JitterCycles, rng)
-		if t.acc != nil {
-			t.acc.SetSeed(cfg.Seed)
-		} else {
-			t.profile.Seed = cfg.Seed
-		}
+		t.acc.SetSeed(cfg.Seed)
 	}
 	return t
-}
-
-// add attributes w cycles to (pc, signature) through whichever
-// accumulator the unit runs with.
-func (t *TEA) add(pc uint64, sig events.PSV, w float64) {
-	if t.acc != nil {
-		t.acc.AddPC(pc, sig, w)
-	} else {
-		t.profile.Add(pc, sig, w)
-	}
 }
 
 // NewGolden builds the golden reference: per-cycle attribution of every
@@ -239,9 +215,9 @@ func NewGolden(core *cpu.CPU) *TEA {
 	return NewTEA(core, Config{Set: events.TEASet, EveryCycle: true})
 }
 
-// Profile returns the PICS generated from the captured samples. A
-// dense accumulator is materialized on first call; attribution must be
-// complete by then.
+// Profile returns the PICS generated from the captured samples. The
+// accumulator is materialized on first call and released; attribution
+// must be complete by then.
 func (t *TEA) Profile() *pics.Profile {
 	if t.acc != nil {
 		t.profile = t.acc.Profile()
@@ -284,7 +260,7 @@ func (t *TEA) OnCycle(ci *cpu.CycleInfo) {
 			insts = make([]SampledInst, 0, n)
 		}
 		for _, r := range ci.Committed {
-			t.add(r.PC, r.PSV, share)
+			t.acc.Add(r.PC, r.PSV, share)
 			if t.keep {
 				insts = append(insts, SampledInst{PC: r.PC, PSV: r.PSV.Mask(t.cfg.Set)})
 			}
@@ -298,7 +274,7 @@ func (t *TEA) OnCycle(ci *cpu.CycleInfo) {
 		t.pendings = append(t.pendings, pending{kind: pendDrained, cycle: ci.Cycle, weight: weight})
 	case events.Flushed:
 		r := ci.LastCommitted
-		t.add(r.PC, r.PSV, weight)
+		t.acc.Add(r.PC, r.PSV, weight)
 		var insts []SampledInst
 		if t.keep {
 			insts = []SampledInst{{PC: r.PC, PSV: r.PSV.Mask(t.cfg.Set)}}
@@ -314,7 +290,7 @@ func (t *TEA) OnCommit(r cpu.Ref, cycle uint64) {
 		return
 	}
 	for _, p := range t.pendings {
-		t.add(r.PC, r.PSV, p.weight)
+		t.acc.Add(r.PC, r.PSV, p.weight)
 		state := events.Stalled
 		if p.kind == pendDrained {
 			state = events.Drained

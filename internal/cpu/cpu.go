@@ -53,10 +53,12 @@ type CPU struct {
 
 	iqInt, iqMem, iqFP []*UOp
 	lq, sq             []*UOp
-	drainQ             []*UOp
+	drainQ             []*UOp // committed stores awaiting their cache write
+	drainArr           []*UOp // drainQ's backing array (see refill)
 	pendingLoads       []*UOp
 
 	fetchBuf    []*UOp
+	fetchArr    []*UOp // fetchBuf's backing array (see refill)
 	fetchNext   *emu.Inst
 	fetchResume uint64
 	awaitBranch *UOp
@@ -125,6 +127,8 @@ func NewWithHierarchy(cfg Config, p *program.Program, h *mem.Hierarchy) *CPU {
 		hier:                 h,
 		bp:                   branch.New(cfg.BP),
 		rob:                  newROB(cfg.ROBEntries),
+		fetchArr:             make([]*UOp, cfg.FetchBufEntries+cfg.FetchWidth),
+		drainArr:             make([]*UOp, cfg.SQEntries),
 		lastLine:             invalidLine,
 		MaxCycles:            cfg.MaxCycles,
 		WatchdogCommitCycles: cfg.WatchdogCommitCycles,
@@ -158,9 +162,6 @@ func (c *CPU) Predictor() *branch.Predictor { return c.bp }
 
 // Config returns the core configuration.
 func (c *CPU) Config() Config { return c.cfg }
-
-// Program returns the program under execution.
-func (c *CPU) Program() *program.Program { return c.prog }
 
 // Cycle returns the current cycle number.
 func (c *CPU) Cycle() uint64 { return c.cycle }
@@ -375,7 +376,7 @@ func (c *CPU) commitUOp(u *UOp) {
 	c.haveLast = true
 	c.Stats.Committed++
 	if isa.IsStore(u.Op()) {
-		c.drainQ = append(c.drainQ, u)
+		c.drainQ = append(refill(c.drainQ, c.drainArr, 1), u)
 	} else if isa.IsLoad(u.Op()) || u.Op() == isa.OpPrefetch {
 		c.lq = removeUOp(c.lq, u)
 	}
@@ -658,6 +659,18 @@ func (c *CPU) sqOccupancy() int {
 	return len(c.sq)
 }
 
+// refill makes room for n more entries at the back of q, a FIFO that
+// pops from the front by reslicing: when fewer than n are free behind
+// it, q moves to the front of its backing array arr. A FIFO that never
+// holds more than len(arr)-n entries thus never reallocates, which
+// keeps the cycle loop allocation-free.
+func refill(q, arr []*UOp, n int) []*UOp {
+	if cap(q)-len(q) < n {
+		return append(arr[:0], q...)
+	}
+	return q
+}
+
 // ---------------------------------------------------------------------------
 // Fetch stage
 
@@ -680,6 +693,7 @@ func (c *CPU) fetchStage() {
 		lineShift++
 	}
 	budget := c.cfg.FetchWidth
+	c.fetchBuf = refill(c.fetchBuf, c.fetchArr, budget)
 	for budget > 0 && len(c.fetchBuf) < c.cfg.FetchBufEntries {
 		if c.fetchNext == nil {
 			c.fetchNext = c.stream.Next()

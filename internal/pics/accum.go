@@ -1,34 +1,45 @@
 package pics
 
-import (
-	"repro/internal/events"
-	"repro/internal/isa"
-)
+import "repro/internal/events"
 
-// numSigs is the number of distinct signature values a PSV can take.
-const numSigs = 1 << events.NumEvents
+// accumMinBits sizes a new accumulator's table at 1<<accumMinBits
+// slots; it doubles whenever more than half the slots are in use.
+const accumMinBits = 8
 
-// Accum is a dense PICS accumulator for the per-cycle hot path. Where
-// Profile hashes every attribution into a two-level map, Accum indexes
-// a flat slice by (static-instruction index, masked signature) — the
-// program's static instruction count is known up front, and a masked
-// PSV is at most numSigs-1. Accumulation order per slot is identical to
-// the map path (the same sequence of float64 additions), so a
+// Accum is a sparse PICS accumulator for the per-cycle hot path. A
+// PICS is sparse by construction: an instruction gets a component only
+// for the event combinations its dynamic instances met. Accum keeps
+// one open-addressed table (linear probing, power-of-two size) keyed
+// by (PC, masked signature), so its memory grows with the distinct
+// pairs the stream attributes, never with program size × 512
+// signatures. Adding to an existing pair probes a flat slice: no map
+// lookup, no allocation. Each slot receives the same float64 additions
+// in the same order as Profile.Add would give its component, so a
 // materialized Accum is bit-identical to a Profile built directly.
 type Accum struct {
 	name  string
 	set   events.Set
 	seed  uint64
-	dense []float64 // [instIdx*numSigs + maskedSig]
+	slots []accumSlot
+	used  int
+	shift uint // 64 - log2(len(slots)), for multiplicative hashing
 }
 
-// NewAccum returns an accumulator for a program with nInsts static
-// instructions.
-func NewAccum(name string, set events.Set, nInsts int) *Accum {
+// accumSlot is one (PC, signature) component. tag is the masked
+// signature plus one, so a zero tag marks an empty slot for any PC.
+type accumSlot struct {
+	pc  uint64
+	v   float64
+	tag uint32
+}
+
+// NewAccum returns an empty accumulator for the named technique.
+func NewAccum(name string, set events.Set) *Accum {
 	return &Accum{
 		name:  name,
 		set:   set,
-		dense: make([]float64, nInsts*numSigs),
+		slots: make([]accumSlot, 1<<accumMinBits),
+		shift: 64 - accumMinBits,
 	}
 }
 
@@ -36,35 +47,72 @@ func NewAccum(name string, set events.Set, nInsts int) *Accum {
 // materialized profile.
 func (a *Accum) SetSeed(seed uint64) { a.seed = seed }
 
-// Add attributes w cycles to (static instruction index, signature); the
-// signature is masked to the accumulator's event set.
-func (a *Accum) Add(instIdx int, sig events.PSV, w float64) {
-	a.dense[instIdx*numSigs+int(sig.Mask(a.set))] += w
+// home is the first slot probed for a key (Fibonacci hashing). Add
+// compares whole keys, so a hash collision costs a probe, never a
+// merge.
+func (a *Accum) home(pc uint64, tag uint32) int {
+	return int((pc ^ uint64(tag)<<48) * 0x9E3779B97F4A7C15 >> a.shift)
 }
 
-// AddPC is Add keyed by the instruction's code address.
-func (a *Accum) AddPC(pc uint64, sig events.PSV, w float64) {
-	a.Add(isa.IndexOf(pc), sig, w)
+// Add attributes w cycles to (pc, signature); the signature is masked
+// to the accumulator's event set.
+func (a *Accum) Add(pc uint64, sig events.PSV, w float64) {
+	tag := uint32(sig.Mask(a.set)) + 1
+	mask := len(a.slots) - 1
+	for i := a.home(pc, tag); ; i = (i + 1) & mask {
+		s := &a.slots[i]
+		if s.tag == tag && s.pc == pc {
+			s.v += w
+			return
+		}
+		if s.tag == 0 {
+			s.pc, s.tag = pc, tag
+			s.v += w
+			a.used++
+			if 2*a.used > len(a.slots) {
+				a.grow()
+			}
+			return
+		}
+	}
+}
+
+// grow doubles the table and reinserts every occupied slot. Slots move
+// whole, so no component's addition sequence changes.
+func (a *Accum) grow() {
+	old := a.slots
+	a.slots = make([]accumSlot, 2*len(old))
+	a.shift--
+	mask := len(a.slots) - 1
+	for _, s := range old {
+		if s.tag == 0 {
+			continue
+		}
+		i := a.home(s.pc, s.tag)
+		for a.slots[i].tag != 0 {
+			i = (i + 1) & mask
+		}
+		a.slots[i] = s
+	}
 }
 
 // Profile materializes the accumulated stacks into a map-based Profile.
-// Only instructions that received attribution appear, exactly as if
-// every Add had gone through Profile.Add directly.
+// Only non-zero components appear, and only instructions holding one;
+// for positive weights that is exactly the Profile that Profile.Add
+// builds from the same calls.
 func (a *Accum) Profile() *Profile {
 	p := NewProfile(a.name, a.set)
 	p.Seed = a.seed
-	for base := 0; base < len(a.dense); base += numSigs {
-		var st Stack
-		for s, v := range a.dense[base : base+numSigs] {
-			if v == 0 {
-				continue
-			}
-			if st == nil {
-				st = make(Stack)
-				p.Insts[isa.PCOf(base/numSigs)] = st
-			}
-			st[events.PSV(s)] = v
+	for _, s := range a.slots {
+		if s.v == 0 {
+			continue
 		}
+		st := p.Insts[s.pc]
+		if st == nil {
+			st = make(Stack)
+			p.Insts[s.pc] = st
+		}
+		st[events.PSV(s.tag-1)] = s.v
 	}
 	return p
 }

@@ -57,8 +57,12 @@ func (l *eventLog) OnCycle(ci *cpu.CycleInfo) {
 }
 func (l *eventLog) OnDone(totalCycles uint64) { l.total = totalCycles }
 
-// play delivers the recorded sequence to a probe.
+// play delivers the recorded sequence to a probe. The cycle info is
+// copied into one variable declared outside the loop: its address
+// crosses the cpu.Probe interface, so it escapes, and a per-cycle copy
+// would put one heap allocation per cycle into the codec's numbers.
 func (l *eventLog) play(p cpu.Probe) {
+	var ci cpu.CycleInfo
 	for i := range l.evs {
 		e := &l.evs[i]
 		switch e.kind {
@@ -71,7 +75,7 @@ func (l *eventLog) play(p cpu.Probe) {
 		case 0x04:
 			p.OnSquash(e.r, e.cycle)
 		case 0x05:
-			ci := e.ci
+			ci = e.ci
 			p.OnCycle(&ci)
 		}
 	}

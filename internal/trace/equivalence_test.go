@@ -8,10 +8,8 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/events"
 	"repro/internal/pics"
 	"repro/internal/profilers"
-	"repro/internal/program"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -194,13 +192,12 @@ func marshal(p *pics.Profile) ([]byte, error) {
 // codecSuite builds the six profile-producing techniques with the same
 // configuration analysis's technique registry uses, either wired to a live core
 // (c non-nil) or free-standing for replay delivery (c nil).
-func codecSuite(c *cpu.CPU, p *program.Program, rc analysis.RunConfig) ([]cpu.Probe, func() map[string]*pics.Profile) {
-	golden := core.NewTEA(c, core.Config{Set: events.TEASet, EveryCycle: true, Prog: p})
+func codecSuite(c *cpu.CPU, rc analysis.RunConfig) ([]cpu.Probe, func() map[string]*pics.Profile) {
+	golden := core.NewGolden(c)
 	teaCfg := core.DefaultConfig()
 	teaCfg.IntervalCycles = rc.Interval
 	teaCfg.JitterCycles = rc.Jitter
 	teaCfg.Seed = rc.Seed
-	teaCfg.Prog = p
 	tea := core.NewTEA(c, teaCfg)
 	nci := profilers.NewNCITEA(rc.Interval, rc.Jitter, rc.Seed+1)
 	ibs := profilers.NewIBS(rc.Interval, rc.Jitter, rc.Seed+2)
@@ -239,7 +236,7 @@ func TestCodecV3V4Equivalence(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			// One simulation: live suite plus both writers attached.
 			c := cpu.New(rc.Core, w.Build(iters))
-			liveProbes, liveProfiles := codecSuite(c, w.Build(iters), rc)
+			liveProbes, liveProfiles := codecSuite(c, rc)
 			for _, pr := range liveProbes {
 				c.Attach(pr)
 			}
@@ -255,7 +252,7 @@ func TestCodecV3V4Equivalence(t *testing.T) {
 			totalV3 += len(v3w.Bytes())
 			totalV4 += v4buf.Len()
 
-			v4Probes, v4Profiles := codecSuite(nil, w.Build(iters), rc)
+			v4Probes, v4Profiles := codecSuite(nil, rc)
 			cycles, err := trace.ReplayBytes(context.Background(), v4buf.Bytes(), v4Probes...)
 			if err != nil {
 				t.Fatalf("v4 replay: %v", err)
@@ -263,7 +260,7 @@ func TestCodecV3V4Equivalence(t *testing.T) {
 			if cycles != stats.Cycles {
 				t.Errorf("v4 replay cycles %d, live %d", cycles, stats.Cycles)
 			}
-			v3Probes, v3Profiles := codecSuite(nil, w.Build(iters), rc)
+			v3Probes, v3Profiles := codecSuite(nil, rc)
 			cycles, err = v3ReplayBytes(v3w.Bytes(), v3Probes...)
 			if err != nil {
 				t.Fatalf("v3 replay: %v", err)

@@ -217,9 +217,21 @@ type Writer struct {
 }
 
 // NewWriter returns a trace writer targeting w. Attach it to a core
-// like any other probe; the stream is complete after OnDone fires.
+// like any other probe; the stream is complete after OnDone fires. The
+// per-block record buffers are allocated once, at the most a block
+// can hold, so encoding never grows them.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w, digest: digestOffset}
+	return &Writer{
+		w:         w,
+		digest:    digestOffset,
+		kinds:     make([]byte, 0, blockRecords),
+		dCyc:      make([]uint64, 0, blockRecords),
+		opA:       make([]uint64, 0, blockRecords),
+		opB:       make([]uint64, 0, blockRecords),
+		listStart: make([]uint32, 0, blockRecords),
+		fps:       make([]uint64, 0, blockRecords),
+		lists:     make([]uint64, 0, maxBlockLists),
+	}
 }
 
 // Err returns the first write error, if any.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -249,3 +250,33 @@ type stateCounter struct {
 }
 
 func (s *stateCounter) OnCycle(ci *cpu.CycleInfo) { s.counts[ci.State]++ }
+
+// TestWriterBlockAllocations pins the writer's per-block record
+// buffers to one allocation each: a fresh writer encoding one full
+// block allocates a small constant number of times, where growing
+// seven block-sized slices by append costs one allocation per growth
+// step, about 140 in all.
+func TestWriterBlockAllocations(t *testing.T) {
+	ci := &cpu.CycleInfo{State: events.Compute, Committed: make([]cpu.Ref, 1)}
+	allocs := testing.AllocsPerRun(3, func() {
+		tw := NewWriter(io.Discard)
+		// A loop body of four records: the match parse absorbs all but
+		// its first instances, so the literal columns stay small and
+		// the count isolates the record buffers.
+		for i := uint64(0); i < blockRecords/4; i++ {
+			r := cpu.Ref{Seq: i, PC: isa.PCOf(int(i % 8))}
+			tw.OnFetch(r, i)
+			tw.OnDispatch(r, i)
+			tw.OnCommit(r, i)
+			ci.Cycle, ci.Committed[0] = i, r
+			tw.OnCycle(ci)
+		}
+		tw.OnDone(blockRecords / 4)
+		if tw.Err() != nil {
+			t.Fatal(tw.Err())
+		}
+	})
+	if allocs > 32 {
+		t.Errorf("encoding one block allocated %v times, want at most 32", allocs)
+	}
+}
