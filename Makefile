@@ -2,7 +2,7 @@ GO      ?= go
 BINDIR  := bin
 TEALINT := $(BINDIR)/tealint
 
-.PHONY: all build test race vet lint check chaos fuzz bench bench-smoke bench-codec serve smoke load clean
+.PHONY: all build test race vet lint check chaos fuzz bench-smoke serve smoke load clean
 
 all: build
 
@@ -77,31 +77,11 @@ load:
 	$(GO) build -o $(BINDIR)/teaload ./cmd/teaload
 	$(BINDIR)/teaload $(LOAD_FLAGS)
 
-# bench runs the figure/table benchmark harness with -benchmem and
-# writes BENCH_<date>.json (see scripts/bench.sh for BENCHTIME/LABEL).
-bench:
-	./scripts/bench.sh
-
 # bench-smoke runs the end-to-end benchmark's smoke test at a tiny
 # size. bench/ is its own module, so `go build ./...` never reaches it;
 # this keeps it compiling against the packages it calls.
 bench-smoke:
 	cd bench && $(GO) test .
-
-# bench-codec is the committed evidence for trace format v4: encode and
-# decode versus the retired v3 codec over the same pre-recorded event
-# sequence (no simulation in the timed loop), plus the suite-wide byte
-# totals. teadiff gates the deterministic metrics — byte totals, record
-# counts, compression ratios, and the v4 digest halves must be
-# bit-identical to the committed baseline; ns/op carries the
-# encode/decode throughput story and is informational.
-CODEC_BASELINE ?= BENCH_2026-08-08_codec.json
-BENCH_DATE     := $(shell date +%Y-%m-%d)
-bench-codec:
-	$(GO) test ./internal/trace -run='^$$' -bench='^BenchmarkCodec' -benchmem -benchtime=10x -timeout 30m \
-		| $(GO) run ./cmd/teabench -label codec -o BENCH_$(BENCH_DATE)_codec.json
-	$(GO) run ./cmd/teadiff -mode bench \
-		-baseline $(CODEC_BASELINE) -current BENCH_$(BENCH_DATE)_codec.json
 
 clean:
 	rm -rf $(BINDIR)

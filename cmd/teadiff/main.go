@@ -5,12 +5,6 @@
 //
 //	teadiff -mode lbm-prefetch -dist 3   # lbm: distance-0 vs distance-N
 //	teadiff -mode nab-fastmath           # nab: with vs without flushes
-//
-// It also gates benchmark results: -mode bench compares two
-// cmd/teabench JSON files and fails if any deterministic accuracy
-// metric drifted (timing columns are reported, never gated):
-//
-//	teadiff -mode bench -baseline BENCH_old.json -current BENCH_new.json
 package main
 
 import (
@@ -27,22 +21,12 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "lbm-prefetch", "lbm-prefetch, nab-fastmath, or bench")
+	mode := flag.String("mode", "lbm-prefetch", "lbm-prefetch or nab-fastmath")
 	from := flag.Int("from", 1, "lbm-prefetch: baseline prefetch distance (>0 keeps layouts identical)")
 	dist := flag.Int("dist", 4, "lbm-prefetch: optimized prefetch distance")
 	top := flag.Int("top", 8, "number of diff rows to print")
 	scale := flag.Float64("scale", 0.5, "workload size multiplier")
-	baseline := flag.String("baseline", "", "bench: committed teabench JSON baseline")
-	current := flag.String("current", "", "bench: teabench JSON from the run under test")
 	flag.Parse()
-
-	if *mode == "bench" {
-		if *baseline == "" || *current == "" {
-			fmt.Fprintln(os.Stderr, "teadiff: -mode bench requires -baseline and -current")
-			os.Exit(2)
-		}
-		os.Exit(diffBench(*baseline, *current))
-	}
 
 	rc := analysis.DefaultRunConfig()
 	rc.Scale = *scale

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/events"
+	"repro/internal/pics"
 	"repro/internal/profilers"
 	"repro/internal/workloads"
 )
@@ -76,31 +77,43 @@ func TestAccuracyStudyShape(t *testing.T) {
 }
 
 func TestTopInstructionPICS(t *testing.T) {
-	for _, br := range suite(t) {
-		if br.Workload.Name != "bwaves" {
-			continue
-		}
-		tp := TopInstructionPICS(br, 3)
-		if len(tp.PCs) != 3 {
-			t.Fatalf("got %d top instructions, want 3", len(tp.PCs))
-		}
-		// Heights must be descending in the golden profile.
-		prev := -1.0
-		for i, pc := range tp.PCs {
-			h := tp.Golden.Insts[pc].Total()
-			if prev >= 0 && h > prev {
-				t.Errorf("top instruction %d taller than %d", i, i-1)
+	w, _ := workloads.ByName("bwaves")
+	br := RunBenchmark(w, testConfig())
+	profileJSON := func() string {
+		var buf bytes.Buffer
+		for _, p := range []*pics.Profile{br.TEA, br.IBS} {
+			if err := p.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
 			}
-			prev = h
 		}
-		// TEA's height for the #1 instruction must be close to golden;
-		// IBS's should not be (non-time-proportionality).
-		pc := tp.PCs[0]
-		g := tp.Golden.Insts[pc].Total()
-		teaH := tp.TEA.Insts[pc].Total()
-		if rel := abs(teaH-g) / g; rel > 0.25 {
-			t.Errorf("TEA top-1 height off by %.0f%%", 100*rel)
+		return buf.String()
+	}
+	before := profileJSON()
+	tp := TopInstructionPICS(br, 3)
+	// The run is shared with the other figures, so normalizing for
+	// Figure 6 must not rescale it.
+	if profileJSON() != before {
+		t.Error("TopInstructionPICS rescaled the run's TEA/IBS profiles")
+	}
+	if len(tp.PCs) != 3 {
+		t.Fatalf("got %d top instructions, want 3", len(tp.PCs))
+	}
+	// Heights must be descending in the golden profile.
+	prev := -1.0
+	for i, pc := range tp.PCs {
+		h := tp.Golden.Insts[pc].Total()
+		if prev >= 0 && h > prev {
+			t.Errorf("top instruction %d taller than %d", i, i-1)
 		}
+		prev = h
+	}
+	// TEA's height for the #1 instruction must be close to golden;
+	// IBS's should not be (non-time-proportionality).
+	pc := tp.PCs[0]
+	g := tp.Golden.Insts[pc].Total()
+	teaH := tp.TEA.Insts[pc].Total()
+	if rel := abs(teaH-g) / g; rel > 0.25 {
+		t.Errorf("TEA top-1 height off by %.0f%%", 100*rel)
 	}
 }
 

@@ -54,9 +54,9 @@ func TraceStore() *tracestore.Store {
 }
 
 // captureCount counts actual simulations performed by the cached
-// capture path (cache hits do not increment it). The Figure 8
-// benchmark asserts exactly one capture per workload through it, and
-// the disk-tier test asserts a second run performs zero.
+// capture path (cache hits do not increment it). The frequency-sweep
+// equivalence test asserts exactly one capture per workload through
+// it, and the disk-tier test asserts a second run performs zero.
 var captureCount atomic.Uint64
 
 // CaptureCount returns the number of simulations the cached capture

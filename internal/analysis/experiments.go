@@ -72,17 +72,21 @@ type TopPICS struct {
 	Run       *BenchRun
 }
 
-// TopInstructionPICS computes Figure 6 for one run. Profiles are
-// normalized to the golden total so stack heights are comparable.
+// TopInstructionPICS computes Figure 6 for one run. IBS and TEA are
+// normalized copies, scaled to the golden total so stack heights are
+// comparable; br itself is left untouched, so the other figures read
+// the same run unchanged.
 func TopInstructionPICS(br *BenchRun, n int) TopPICS {
 	total := br.Golden.Total()
-	br.IBS.Normalize(total)
-	br.TEA.Normalize(total)
+	ibs := br.IBS.Project(br.IBS.Set)
+	ibs.Normalize(total)
+	tea := br.TEA.Project(br.TEA.Set)
+	tea.Normalize(total)
 	return TopPICS{
 		Benchmark: br.Workload.Name,
 		PCs:       br.Golden.TopInstructions(n),
-		IBS:       br.IBS,
-		TEA:       br.TEA,
+		IBS:       ibs,
+		TEA:       tea,
 		Golden:    br.Golden,
 		Run:       br,
 	}

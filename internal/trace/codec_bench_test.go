@@ -1,21 +1,21 @@
 package trace_test
 
-// Codec benchmarks: the committed before/after evidence for trace
-// format v4 (`make bench-codec` -> BENCH_<date>_codec.json, gated by
-// `teadiff -mode bench` against the committed baseline). Encode and
-// decode run over a pre-recorded logical event sequence, so the
-// numbers measure the codecs alone — no simulation in the timed loop.
-// The v3 columns come from the legacy codec copy in v3codec_test.go.
+// Codec benchmarks: the evidence for trace format v4 against the v3
+// codec copy in v3codec_test.go. Encode and decode run over a
+// pre-recorded logical event sequence, so the numbers measure the
+// codecs alone — no simulation in the timed loop.
 //
-// ns/op is the wall-clock story (machine-dependent, reported but never
-// gated); the byte totals, record counts, and digest halves are
-// deterministic and must be bit-identical run to run.
+// ns/op is the wall-clock story (machine-dependent, never gated); the
+// byte totals, record counts, and digest halves are deterministic, and
+// TestCodecNumbers pins them against the committed
+// BENCH_2026-08-08_codec.json.
 
 import (
 	"bytes"
 	"context"
 	"testing"
 
+	"repro/internal/benchfile"
 	"repro/internal/cpu"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -86,14 +86,14 @@ func (l *eventLog) play(p cpu.Probe) {
 // caches the event sequence.
 var cachedLog *eventLog
 
-func benchLog(b *testing.B) *eventLog {
-	b.Helper()
+func benchLog(tb testing.TB) *eventLog {
+	tb.Helper()
 	if cachedLog != nil {
 		return cachedLog
 	}
 	w, err := workloads.ByName("bwaves")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	l := &eventLog{}
 	c := cpu.New(cpu.DefaultConfig(), w.Build(1500))
@@ -118,10 +118,7 @@ func BenchmarkCodecEncodeV4(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	ctr := tw.Counters()
-	b.ReportMetric(float64(buf.Len()), "encoded_bytes")
-	b.ReportMetric(float64(tw.Records), "records")
-	b.ReportMetric(float64(ctr.LogicalBytes)/float64(ctr.EncodedBytes), "compression_x")
+	reportMetrics(b, encodeV4Metrics(&buf, tw))
 }
 
 // BenchmarkCodecEncodeV3 encodes the same sequence with the legacy
@@ -134,8 +131,7 @@ func BenchmarkCodecEncodeV3(b *testing.B) {
 		tw = newV3Writer()
 		l.play(tw)
 	}
-	b.ReportMetric(float64(len(tw.Bytes())), "encoded_bytes")
-	b.ReportMetric(float64(tw.records), "records")
+	reportMetrics(b, encodeV3Metrics(tw))
 }
 
 // BenchmarkCodecDecodeV4 replays a v4 stream of the recorded sequence
@@ -160,8 +156,7 @@ func BenchmarkCodecDecodeV4(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(cycles), "cycles")
-	b.ReportMetric(float64(tw.Records)/1e6, "mrecords")
+	reportMetrics(b, decodeMetrics(cycles, tw.Records))
 }
 
 // BenchmarkCodecDecodeV3 replays the legacy encoding of the same
@@ -180,50 +175,135 @@ func BenchmarkCodecDecodeV3(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(cycles), "cycles")
-	b.ReportMetric(float64(tw.records)/1e6, "mrecords")
+	reportMetrics(b, decodeMetrics(cycles, tw.records))
 }
 
 // BenchmarkCodecSuiteCompression captures every suite workload with
 // both writers attached to one simulation and reports the suite byte
-// totals — the ISSUE 10 acceptance evidence (>=5x). The FNV halves of
-// the v4 bytes pin the exact encoding: equal halves on two runs (or
-// against the committed baseline) mean byte-identical suite traces.
+// totals.
 func BenchmarkCodecSuiteCompression(b *testing.B) {
-	var v3Bytes, v4Bytes, cycles, digest uint64
+	var m map[string]float64
 	for i := 0; i < b.N; i++ {
-		v3Bytes, v4Bytes, cycles = 0, 0, 0
-		digest = 14695981039346656037 // FNV-1a offset basis
-		for _, w := range workloads.All() {
-			iters := w.DefaultIters / 4
-			if iters < 2 {
-				iters = 2
-			}
-			c := cpu.New(cpu.DefaultConfig(), w.Build(iters))
-			var buf bytes.Buffer
-			v4 := trace.NewWriter(&buf)
-			v3 := newV3Writer()
-			c.Attach(v4)
-			c.Attach(v3)
-			st := c.Run()
-			if err := v4.Err(); err != nil {
-				b.Fatal(err)
-			}
-			v3Bytes += uint64(len(v3.Bytes()))
-			v4Bytes += uint64(buf.Len())
-			cycles += st.Cycles
-			for _, by := range buf.Bytes() {
-				digest = (digest ^ uint64(by)) * 1099511628211
-			}
+		var err error
+		if m, err = suiteCompression(); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(v3Bytes), "suite_v3_bytes")
-	b.ReportMetric(float64(v4Bytes), "suite_v4_bytes")
-	b.ReportMetric(float64(v3Bytes)/float64(v4Bytes), "compression_x")
-	b.ReportMetric(float64(v4Bytes)/float64(cycles), "trace_bytes/cycle")
-	// Two exact-in-float64 halves of the 64-bit digest.
-	b.ReportMetric(float64(digest>>32), "trace_fnv_hi")
-	b.ReportMetric(float64(digest&0xffffffff), "trace_fnv_lo")
+	reportMetrics(b, m)
+}
+
+// suiteCompression captures every workload at a quarter of its default
+// iterations with the v4 and v3 writers on one simulation. The FNV-1a
+// halves of the v4 bytes are exact in float64, so equal halves mean
+// byte-identical suite traces.
+func suiteCompression() (map[string]float64, error) {
+	var v3Bytes, v4Bytes, cycles uint64
+	digest := uint64(14695981039346656037) // FNV-1a offset basis
+	for _, w := range workloads.All() {
+		iters := w.DefaultIters / 4
+		if iters < 2 {
+			iters = 2
+		}
+		c := cpu.New(cpu.DefaultConfig(), w.Build(iters))
+		var buf bytes.Buffer
+		v4 := trace.NewWriter(&buf)
+		v3 := newV3Writer()
+		c.Attach(v4)
+		c.Attach(v3)
+		st := c.Run()
+		if err := v4.Err(); err != nil {
+			return nil, err
+		}
+		v3Bytes += uint64(len(v3.Bytes()))
+		v4Bytes += uint64(buf.Len())
+		cycles += st.Cycles
+		for _, by := range buf.Bytes() {
+			digest = (digest ^ uint64(by)) * 1099511628211
+		}
+	}
+	return map[string]float64{
+		"suite_v3_bytes":    float64(v3Bytes),
+		"suite_v4_bytes":    float64(v4Bytes),
+		"compression_x":     float64(v3Bytes) / float64(v4Bytes),
+		"trace_bytes/cycle": float64(v4Bytes) / float64(cycles),
+		"trace_fnv_hi":      float64(digest >> 32),
+		"trace_fnv_lo":      float64(digest & 0xffffffff),
+	}, nil
+}
+
+// encodeV4Metrics are CodecEncodeV4's metrics for the stream tw wrote
+// into buf.
+func encodeV4Metrics(buf *bytes.Buffer, tw *trace.Writer) map[string]float64 {
+	ctr := tw.Counters()
+	return map[string]float64{
+		"encoded_bytes": float64(buf.Len()),
+		"records":       float64(tw.Records),
+		"compression_x": float64(ctr.LogicalBytes) / float64(ctr.EncodedBytes),
+	}
+}
+
+func encodeV3Metrics(tw *v3Writer) map[string]float64 {
+	return map[string]float64{
+		"encoded_bytes": float64(len(tw.Bytes())),
+		"records":       float64(tw.records),
+	}
+}
+
+func decodeMetrics(cycles, records uint64) map[string]float64 {
+	return map[string]float64{
+		"cycles":   float64(cycles),
+		"mrecords": float64(records) / 1e6,
+	}
+}
+
+func reportMetrics(b *testing.B, m map[string]float64) {
+	for unit, v := range m {
+		b.ReportMetric(v, unit)
+	}
+}
+
+// TestCodecNumbers recomputes every metric of the committed codec BENCH
+// file from the codec benchmarks' fixtures, each encoded and decoded
+// once, and requires each to print exactly as recorded. Drift means the
+// wire format changed; a deliberate change bumps trace.FormatVersion
+// and edits the file by hand.
+func TestCodecNumbers(t *testing.T) {
+	l := benchLog(t)
+	ctx := context.Background()
+	got := map[string]map[string]float64{}
+
+	var buf bytes.Buffer
+	tw := trace.NewWriter(&buf)
+	l.play(tw)
+	if err := tw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	got["CodecEncodeV4"] = encodeV4Metrics(&buf, tw)
+	cycles, err := trace.ReplayBytes(ctx, buf.Bytes(), nopProbe{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["CodecDecodeV4"] = decodeMetrics(cycles, tw.Records)
+
+	v3 := newV3Writer()
+	l.play(v3)
+	got["CodecEncodeV3"] = encodeV3Metrics(v3)
+	if cycles, err = v3ReplayBytes(v3.Bytes(), nopProbe{}); err != nil {
+		t.Fatal(err)
+	}
+	got["CodecDecodeV3"] = decodeMetrics(cycles, v3.records)
+
+	if got["CodecSuiteCompression"], err = suiteCompression(); err != nil {
+		t.Fatal(err)
+	}
+
+	msgs, err := benchfile.Drift("../../BENCH_2026-08-08_codec.json", got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range msgs {
+		t.Error(m)
+	}
 }
 
 // nopProbe absorbs every probe hook.

@@ -4,8 +4,8 @@
 // of everything that determines its bytes: the program's full contents,
 // the run configuration, and the trace format version. Two tiers back
 // the store: a bounded in-memory LRU for hits within one process, and
-// an optional on-disk tier so repeated teaexp/teabench invocations skip
-// simulation entirely.
+// an optional on-disk tier so repeated teaexp or teaserve invocations
+// skip simulation entirely.
 //
 // The store is deliberately ignorant of what an entry means: it caches
 // opaque byte payloads under 32-byte keys. internal/analysis derives

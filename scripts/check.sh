@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# Includes the accuracy and codec gates: TestPaperNumbers and
+# TestCodecNumbers pin every deterministic metric of the committed
+# BENCH_2026-08-08_v4codec.json and BENCH_2026-08-08_codec.json.
 go test -race ./...
 
 # TEA invariant lint suite. `make lint` owns building the tealint
@@ -50,30 +53,6 @@ go build -o bin/teachaos ./cmd/teachaos
 ./bin/teachaos -seed 1 -workload bwaves -scale 0.05
 ./bin/teachaos -disk
 
-# Benchmark smoke + regression gate: one iteration of every figure/table
-# benchmark keeps the harness compiling and running (full runs: make
-# bench), and teadiff compares its deterministic accuracy metrics
-# against the committed baseline — bit-identical or the gate fails.
-# Timing columns are reported by teadiff but never gated. The trap
-# guarantees the temp files are removed even when a gate step fails
-# (set -e exits straight through the old trailing rm).
-bench_out=
-bench_json=
-trap 'rm -f "$bench_out" "$bench_json"' EXIT
-bench_out=$(mktemp)
-bench_json=$(mktemp)
-go test -bench=. -benchtime=1x -timeout 30m . >"$bench_out"
-go run ./cmd/teabench -label gate <"$bench_out" >"$bench_json"
-go run ./cmd/teadiff -mode bench -baseline BENCH_2026-08-08_v4codec.json -current "$bench_json"
-
 # End-to-end benchmark smoke: bench/ is its own module, out of reach of
 # `go build ./...`; its smoke test keeps it compiling and running.
 make bench-smoke
-
-# Codec gate: the v4-vs-v3 codec benchmarks' deterministic metrics
-# (byte totals, record counts, compression ratios, v4 digest halves)
-# must be bit-identical to the committed baseline — any drift means the
-# wire format changed without a FormatVersion bump and a new baseline.
-go test ./internal/trace -run='^$' -bench='^BenchmarkCodec' -benchtime=1x -timeout 30m >"$bench_out"
-go run ./cmd/teabench -label codec-gate <"$bench_out" >"$bench_json"
-go run ./cmd/teadiff -mode bench -baseline BENCH_2026-08-08_codec.json -current "$bench_json"
