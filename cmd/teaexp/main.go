@@ -50,6 +50,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: teaexp [-scale f] [-interval n] <experiment-id|all>")
 		os.Exit(2)
 	}
+	if *interval == 0 {
+		fmt.Fprintln(os.Stderr, "teaexp: -interval must be positive")
+		os.Exit(2)
+	}
 
 	rc := analysis.DefaultRunConfig()
 	rc.Scale = *scale

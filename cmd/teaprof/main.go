@@ -34,6 +34,10 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
+	if *interval == 0 {
+		fmt.Fprintln(os.Stderr, "teaprof: -interval must be positive")
+		os.Exit(2)
+	}
 
 	w, err := workloads.ByName(*bench)
 	if err != nil {
@@ -54,21 +58,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "teaprof:", err)
 		os.Exit(1)
 	}
-	var prof *pics.Profile
-	switch *tech {
-	case "TEA":
-		prof = br.TEA
-	case "NCI-TEA":
-		prof = br.NCITEA
-	case "IBS":
-		prof = br.IBS
-	case "SPE":
-		prof = br.SPE
-	case "RIS":
-		prof = br.RIS
-	case "golden":
-		prof = br.Golden
-	default:
+	prof := br.Profile(strings.ToLower(*tech))
+	if prof == nil {
 		fmt.Fprintf(os.Stderr, "teaprof: unknown technique %q\n", *tech)
 		os.Exit(1)
 	}

@@ -16,16 +16,16 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/pics"
-	"repro/internal/profilers"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 	"repro/internal/workloads"
@@ -42,6 +42,10 @@ func main() {
 	scale := flag.Float64("scale", 0.5, "workload size multiplier")
 	asJSON := flag.Bool("json", false, "emit -stats output as JSON")
 	flag.Parse()
+	if *interval == 0 {
+		fmt.Fprintln(os.Stderr, "teatrace: -interval must be positive")
+		os.Exit(2)
+	}
 
 	switch {
 	case *record != "" && *replay == "" && *stats == "":
@@ -154,41 +158,27 @@ func doRecord(path, bench string, scale float64) error {
 }
 
 func doReplay(path, tech string, interval uint64, top int) error {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-
-	golden := core.NewGolden(nil)
-	var prof interface{ Profile() *pics.Profile }
-	jitter := interval / 16
-	switch tech {
-	case "TEA":
-		cfg := core.DefaultConfig()
-		cfg.IntervalCycles = interval
-		cfg.JitterCycles = jitter
-		prof = core.NewTEA(nil, cfg)
-	case "NCI-TEA":
-		prof = profilers.NewNCITEA(interval, jitter, 3)
-	case "IBS":
-		prof = profilers.NewIBS(interval, jitter, 4)
-	case "SPE":
-		prof = profilers.NewSPE(interval, jitter, 5)
-	case "RIS":
-		prof = profilers.NewRIS(interval, jitter, 6)
-	default:
+	rc := analysis.DefaultRunConfig()
+	rc.Interval = interval
+	rc.Jitter = interval / 16
+	// A trace file carries no program, so the run names none.
+	br, err := analysis.ReplayCaptured(context.Background(), workloads.Workload{}, nil, rc, data)
+	if err != nil {
+		return err
+	}
+	p := br.Profile(strings.ToLower(tech))
+	if p == nil {
 		return fmt.Errorf("unknown technique %q", tech)
 	}
-
-	cycles, err := trace.Replay(f, golden, prof.(cpu.Probe))
-	if err != nil {
-		return err
-	}
-	p := prof.Profile()
-	fmt.Printf("replayed %d cycles; %s error vs golden: %.1f%%\n\n",
-		cycles, p.Name, 100*pics.Error(p, golden.Profile()))
-	total := golden.Profile().Total()
+	// Golden attributes every cycle exactly once, so its total is the
+	// trace's cycle count.
+	total := br.Golden.Total()
+	fmt.Printf("replayed %.0f cycles; %s error vs golden: %.1f%%\n\n",
+		total, p.Name, 100*pics.Error(p, br.Golden))
 	fmt.Printf("top instructions (%s):\n", p.Name)
 	for _, pc := range p.TopInstructions(top) {
 		st := p.Insts[pc]

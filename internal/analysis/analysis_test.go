@@ -8,6 +8,7 @@ import (
 	"repro/internal/events"
 	"repro/internal/pics"
 	"repro/internal/profilers"
+	"repro/internal/tracestore"
 	"repro/internal/workloads"
 )
 
@@ -22,13 +23,21 @@ func testConfig() RunConfig {
 	return rc
 }
 
-// suiteOnce caches one scaled suite run across tests in this package.
-var suiteCache []*BenchRun
+// suiteCache caches one scaled suite run across tests in this package;
+// suiteStore is the fresh trace store it ran on, which then holds only
+// the suite's captures.
+var (
+	suiteCache []*BenchRun
+	suiteStore *tracestore.Store
+)
 
 func suite(t *testing.T) []*BenchRun {
 	t.Helper()
 	if suiteCache == nil {
+		suiteStore = NewTraceStore(DefaultStoreBudget, "")
+		prev := SetTraceStore(suiteStore)
 		suiteCache = RunSuite(testConfig())
+		SetTraceStore(prev)
 	}
 	return suiteCache
 }

@@ -436,7 +436,10 @@ type OverheadStudy struct {
 // MeasureOverhead runs a benchmark with and without the per-sample
 // interrupt cost charged to the core. The per-sample cost is scaled so
 // cost/interval matches the paper's regime (an 88-byte sample costs
-// roughly 1% of the sampling period).
+// roughly 1% of the sampling period). The bare run is the benchmark's
+// capture; the loaded run's TEA unit charges the core, so it runs live.
+//
+//tealint:ctxroot study entry point invoked by the experiment CLIs, which have no context to thread
 func MeasureOverhead(rc RunConfig, benchmark string, sampleCost uint64) OverheadStudy {
 	w, err := workloads.ByName(benchmark)
 	if err != nil {
@@ -446,15 +449,14 @@ func MeasureOverhead(rc RunConfig, benchmark string, sampleCost uint64) Overhead
 	}
 	iters := rc.iters(w)
 
-	base := cpu.New(rc.Core, w.Build(iters))
-	baseStats := base.Run()
+	_, baseStats, err := newCaptureJob(w, w.Build(iters), rc).capture(context.Background())
+	if err != nil {
+		panic(asSimErr(err, w.Name))
+	}
 
 	loaded := cpu.New(rc.Core, w.Build(iters))
 	loaded.SampleOverheadCycles = sampleCost
-	cfg := core.DefaultConfig()
-	cfg.IntervalCycles = rc.Interval
-	cfg.JitterCycles = rc.Jitter
-	cfg.Seed = rc.Seed
+	cfg := rc.teaConfig()
 	cfg.ChargeOverhead = true
 	tea := core.NewTEA(loaded, cfg)
 	loaded.Attach(tea)

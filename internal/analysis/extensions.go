@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -25,29 +26,24 @@ type DTEARow struct {
 	IBS       float64
 }
 
-// DispatchTaggedTEA runs the D-TEA comparison across the suite.
+// DispatchTaggedTEA runs the D-TEA comparison on the suite's captures,
+// with the registry's golden, TEA and IBS.
+//
+//tealint:ctxroot figure entry point invoked by the experiment CLIs, which have no context to thread
 func DispatchTaggedTEA(rc RunConfig) []DTEARow {
+	jobs := suiteJobs(rc)
+	profs := replayProfiles(context.Background(), jobs, func() []cpu.Probe {
+		return []cpu.Probe{techniqueByName("golden").probe(rc), techniqueByName("tea").probe(rc),
+			profilers.NewDTEA(rc.Interval, rc.Jitter, rc.Seed+5), techniqueByName("ibs").probe(rc)}
+	})
 	var rows []DTEARow
 	var sum DTEARow
-	for _, w := range workloads.All() {
-		c := cpu.New(rc.Core, w.Build(rc.iters(w)))
-		golden := core.NewGolden(c)
-		teaCfg := core.DefaultConfig()
-		teaCfg.IntervalCycles = rc.Interval
-		teaCfg.JitterCycles = rc.Jitter
-		teaCfg.Seed = rc.Seed
-		tea := core.NewTEA(c, teaCfg)
-		dtea := profilers.NewDTEA(rc.Interval, rc.Jitter, rc.Seed+5)
-		ibs := profilers.NewIBS(rc.Interval, rc.Jitter, rc.Seed+2)
-		for _, p := range []cpu.Probe{golden, tea, dtea, ibs} {
-			c.Attach(p)
-		}
-		c.Run()
+	for i, p := range profs {
 		row := DTEARow{
-			Benchmark: w.Name,
-			TEA:       pics.Error(tea.Profile(), golden.Profile()),
-			DTEA:      pics.Error(dtea.Profile(), golden.Profile()),
-			IBS:       pics.Error(ibs.Profile(), golden.Profile()),
+			Benchmark: jobs[i].w.Name,
+			TEA:       pics.Error(p[1], p[0]),
+			DTEA:      pics.Error(p[2], p[0]),
+			IBS:       pics.Error(p[3], p[0]),
 		}
 		rows = append(rows, row)
 		sum.TEA += row.TEA
@@ -87,14 +83,26 @@ type AblationRow struct {
 }
 
 // EventSetAblationStudy runs the Figure 3 event-set ladder on one
-// benchmark.
+// benchmark's capture.
+//
+//tealint:ctxroot figure entry point invoked by the experiment CLIs, which have no context to thread
 func EventSetAblationStudy(rc RunConfig, benchmark string) ([]AblationRow, error) {
 	w, err := workloads.ByName(benchmark)
 	if err != nil {
 		return nil, err
 	}
-	c := cpu.New(rc.Core, w.Build(rc.iters(w)))
-	rungs, golden, ladder := profilers.RunAblation(c, rc.Interval, rc.Jitter, rc.Seed)
+	ladder := profilers.AblationLadder()
+	job := newCaptureJob(w, w.Build(rc.iters(w)), rc)
+	profs := replayProfiles(context.Background(), []captureJob{job}, func() []cpu.Probe {
+		probes := []cpu.Probe{techniqueByName("golden").probe(rc)}
+		for _, rung := range ladder {
+			cfg := rc.teaConfig()
+			cfg.Set = rung.Set
+			probes = append(probes, core.NewTEA(nil, cfg))
+		}
+		return probes
+	})[0]
+	golden, rungs := profs[0], profs[1:]
 	rows := make([]AblationRow, len(rungs))
 	for i, prof := range rungs {
 		comps := map[events.PSV]bool{}

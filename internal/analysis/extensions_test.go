@@ -2,19 +2,76 @@ package analysis
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/profilers"
+	"repro/internal/simerr"
 	"repro/internal/workloads"
 )
 
+// afterSuite runs study on the store holding the cached suite's
+// captures. A probe-only study replays them: it simulates nothing, and
+// it looks the store up once per workload it reports.
+func afterSuite(t *testing.T, reported int, study func()) {
+	t.Helper()
+	suite(t)
+	prev := SetTraceStore(suiteStore)
+	defer SetTraceStore(prev)
+	captures, hits := CaptureCount(), suiteStore.Snapshot().Hits
+	study()
+	if got := CaptureCount() - captures; got != 0 {
+		t.Errorf("study simulated %d programs the suite had captured; want 0", got)
+	}
+	if got := suiteStore.Snapshot().Hits - hits; got != uint64(reported) {
+		t.Errorf("study hit the trace store %d times; want %d, one per workload it reports", got, reported)
+	}
+}
+
+// requireZeroIntervalRejected runs study under a zero sampling interval
+// and requires the typed ErrInvalidConfig, panicked or returned. The
+// probes are built on worker goroutines, so a panic escaping one would
+// kill the test binary instead of reaching this recover.
+func requireZeroIntervalRejected(t *testing.T, study func(RunConfig) error) {
+	t.Helper()
+	rc := testConfig()
+	rc.Interval = 0
+	got := func() (v any) {
+		defer func() {
+			if r := recover(); r != nil {
+				v = r
+			}
+		}()
+		return study(rc)
+	}()
+	err, _ := got.(error)
+	var se *simerr.Error
+	if !errors.As(err, &se) || se.Kind != simerr.ErrInvalidConfig {
+		t.Fatalf("zero interval: got %v; want a typed ErrInvalidConfig", got)
+	}
+}
+
 func TestDispatchTaggedTEATracksIBS(t *testing.T) {
 	rc := testConfig()
-	rows := DispatchTaggedTEA(rc)
+	var rows []DTEARow
+	afterSuite(t, len(workloads.All()), func() { rows = DispatchTaggedTEA(rc) })
 	if len(rows) != len(workloads.All())+1 {
 		t.Fatalf("got %d rows", len(rows))
 	}
+	// Its TEA and IBS are the registry's, replayed from the same
+	// captures, so every row matches Figure 5 exactly.
+	for i, acc := range AccuracyStudy(suite(t)) {
+		if r := rows[i]; r.Benchmark != acc.Benchmark ||
+			r.TEA != acc.Errors[profilers.NameTEA] || r.IBS != acc.Errors[profilers.NameIBS] {
+			t.Errorf("%s: D-TEA study's TEA %v, IBS %v; Figure 5's %s TEA %v, IBS %v", r.Benchmark,
+				r.TEA, r.IBS, acc.Benchmark, acc.Errors[profilers.NameTEA], acc.Errors[profilers.NameIBS])
+		}
+	}
+	requireZeroIntervalRejected(t, func(rc RunConfig) error {
+		DispatchTaggedTEA(rc)
+		return nil
+	})
 	avg := rows[len(rows)-1]
 	if avg.Benchmark != "average" {
 		t.Fatalf("missing average row")
@@ -32,7 +89,9 @@ func TestDispatchTaggedTEATracksIBS(t *testing.T) {
 
 func TestEventSetAblation(t *testing.T) {
 	rc := testConfig()
-	rows, err := EventSetAblationStudy(rc, "bwaves")
+	var rows []AblationRow
+	var err error
+	afterSuite(t, 1, func() { rows, err = EventSetAblationStudy(rc, "bwaves") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +123,10 @@ func TestEventSetAblation(t *testing.T) {
 			t.Errorf("rung %q error %.3f unexpectedly high", r.Rung, r.Error)
 		}
 	}
+	requireZeroIntervalRejected(t, func(rc RunConfig) error {
+		_, err := EventSetAblationStudy(rc, "bwaves")
+		return err
+	})
 }
 
 func TestAblationUnknownBenchmark(t *testing.T) {
@@ -74,6 +137,9 @@ func TestAblationUnknownBenchmark(t *testing.T) {
 
 func TestExtensionRenderers(t *testing.T) {
 	rc := testConfig()
+	suite(t)
+	prev := SetTraceStore(suiteStore)
+	defer SetTraceStore(prev)
 	var buf bytes.Buffer
 	RenderDTEA(&buf, DispatchTaggedTEA(rc))
 	rows, err := EventSetAblationStudy(rc, "bwaves")
@@ -121,10 +187,18 @@ func TestMulticoreUnknownBenchmarks(t *testing.T) {
 
 func TestJitterAblation(t *testing.T) {
 	rc := testConfig()
-	rc.Scale = 0.1
-	rows := JitterAblation(rc)
+	var rows []JitterRow
+	afterSuite(t, len(workloads.All()), func() { rows = JitterAblation(rc) })
 	if rows[len(rows)-1].Benchmark != "average" {
 		t.Fatalf("missing average row")
+	}
+	// The jittered unit is the registry's TEA, so every row matches
+	// Figure 5's TEA column exactly.
+	for i, acc := range AccuracyStudy(suite(t)) {
+		if r := rows[i]; r.Benchmark != acc.Benchmark || r.WithJitter != acc.Errors[profilers.NameTEA] {
+			t.Errorf("%s: jittered TEA error %v; Figure 5's %s TEA %v",
+				r.Benchmark, r.WithJitter, acc.Benchmark, acc.Errors[profilers.NameTEA])
+		}
 	}
 	avg := rows[len(rows)-1]
 	// A fixed-period sampler must not beat the jittered one on these
@@ -138,4 +212,8 @@ func TestJitterAblation(t *testing.T) {
 			t.Errorf("%s: errors out of range: %+v", r.Benchmark, r)
 		}
 	}
+	requireZeroIntervalRejected(t, func(rc RunConfig) error {
+		JitterAblation(rc)
+		return nil
+	})
 }

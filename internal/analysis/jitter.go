@@ -1,13 +1,12 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/pics"
-	"repro/internal/workloads"
 )
 
 // JitterRow compares TEA's accuracy with and without sample-clock
@@ -22,28 +21,24 @@ type JitterRow struct {
 }
 
 // JitterAblation runs TEA with the configured jitter and with jitter
-// disabled on every benchmark, against per-run golden references.
+// disabled on every benchmark's capture, against its golden reference.
+//
+//tealint:ctxroot figure entry point invoked by the experiment CLIs, which have no context to thread
 func JitterAblation(rc RunConfig) []JitterRow {
+	fixed := rc
+	fixed.Jitter = 0
+	jobs := suiteJobs(rc)
+	profs := replayProfiles(context.Background(), jobs, func() []cpu.Probe {
+		return []cpu.Probe{techniqueByName("golden").probe(rc), techniqueByName("tea").probe(rc),
+			techniqueByName("tea").probe(fixed)}
+	})
 	var rows []JitterRow
 	var sumJ, sumN float64
-	for _, w := range workloads.All() {
-		run := func(jitter uint64) float64 {
-			c := cpu.New(rc.Core, w.Build(rc.iters(w)))
-			g := core.NewGolden(c)
-			cfg := core.DefaultConfig()
-			cfg.IntervalCycles = rc.Interval
-			cfg.JitterCycles = jitter
-			cfg.Seed = rc.Seed
-			tea := core.NewTEA(c, cfg)
-			c.Attach(g)
-			c.Attach(tea)
-			c.Run()
-			return pics.Error(tea.Profile(), g.Profile())
-		}
+	for i, p := range profs {
 		row := JitterRow{
-			Benchmark:     w.Name,
-			WithJitter:    run(rc.Jitter),
-			WithoutJitter: run(0),
+			Benchmark:     jobs[i].w.Name,
+			WithJitter:    pics.Error(p[1], p[0]),
+			WithoutJitter: pics.Error(p[2], p[0]),
 		}
 		sumJ += row.WithJitter
 		sumN += row.WithoutJitter

@@ -49,9 +49,7 @@ func Multicore(rc RunConfig, victim, antagonist string) (MulticoreStudy, error) 
 
 	attach := func(sys *system.System, i int, seed uint64) (*core.TEA, *core.TEA) {
 		g := core.NewGolden(sys.Core(i))
-		cfg := core.DefaultConfig()
-		cfg.IntervalCycles = rc.Interval
-		cfg.JitterCycles = rc.Jitter
+		cfg := rc.teaConfig()
 		cfg.Seed = seed
 		tea := core.NewTEA(sys.Core(i), cfg)
 		sys.Core(i).Attach(g)

@@ -57,7 +57,7 @@ func chaosTechnique(name, hook string) technique {
 	if hook == "OnDone" {
 		after = 0
 	}
-	return technique{name: name, probe: func(*cpu.CPU, RunConfig) cpu.Probe {
+	return technique{name: name, probe: func(RunConfig) cpu.Probe {
 		return &panicProbe{hook: hook, after: after}
 	}}
 }

@@ -72,6 +72,16 @@ func (rc RunConfig) iters(w workloads.Workload) int {
 // harness run with the same configuration.
 func (rc RunConfig) Iters(w workloads.Workload) int { return rc.iters(w) }
 
+// teaConfig is the registry tea's configuration under rc, which every
+// other TEA unit a study builds varies.
+func (rc RunConfig) teaConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.IntervalCycles = rc.Interval
+	cfg.JitterCycles = rc.Jitter
+	cfg.Seed = rc.Seed
+	return cfg
+}
+
 // BenchRun holds everything one simulation produced: the golden
 // reference, every technique's profile, event counters, and the
 // auxiliary statistics probes.
@@ -123,9 +133,8 @@ func RunBenchmark(w workloads.Workload, rc RunConfig) *BenchRun {
 // to build it for a run, and where its result lands in a BenchRun.
 type technique struct {
 	name string
-	// probe builds the technique's probe. A non-nil core wires it for
-	// live attachment; replay passes nil.
-	probe func(c *cpu.CPU, rc RunConfig) cpu.Probe
+	// probe builds the technique's probe for replay under rc.
+	probe func(rc RunConfig) cpu.Probe
 	// profile locates the BenchRun field a profiling technique's PICS
 	// profile lands in; nil for the statistics probes.
 	profile func(br *BenchRun) **pics.Profile
@@ -144,47 +153,31 @@ type profiler interface {
 // whether they replay together or alone.
 var techniques = []technique{
 	{name: "golden",
-		probe: func(c *cpu.CPU, _ RunConfig) cpu.Probe {
-			return core.NewGolden(c)
-		},
+		probe:   func(RunConfig) cpu.Probe { return core.NewGolden(nil) },
 		profile: func(br *BenchRun) **pics.Profile { return &br.Golden }},
 	{name: "tea",
-		probe: func(c *cpu.CPU, rc RunConfig) cpu.Probe {
-			cfg := core.DefaultConfig()
-			cfg.IntervalCycles = rc.Interval
-			cfg.JitterCycles = rc.Jitter
-			cfg.Seed = rc.Seed
-			return core.NewTEA(c, cfg)
-		},
+		probe:   func(rc RunConfig) cpu.Probe { return core.NewTEA(nil, rc.teaConfig()) },
 		profile: func(br *BenchRun) **pics.Profile { return &br.TEA }},
 	{name: "nci-tea",
-		probe: func(_ *cpu.CPU, rc RunConfig) cpu.Probe {
-			return profilers.NewNCITEA(rc.Interval, rc.Jitter, rc.Seed+1)
-		},
+		probe:   func(rc RunConfig) cpu.Probe { return profilers.NewNCITEA(rc.Interval, rc.Jitter, rc.Seed+1) },
 		profile: func(br *BenchRun) **pics.Profile { return &br.NCITEA }},
 	{name: "ibs",
-		probe: func(_ *cpu.CPU, rc RunConfig) cpu.Probe {
-			return profilers.NewIBS(rc.Interval, rc.Jitter, rc.Seed+2)
-		},
+		probe:   func(rc RunConfig) cpu.Probe { return profilers.NewIBS(rc.Interval, rc.Jitter, rc.Seed+2) },
 		profile: func(br *BenchRun) **pics.Profile { return &br.IBS }},
 	{name: "spe",
-		probe: func(_ *cpu.CPU, rc RunConfig) cpu.Probe {
-			return profilers.NewSPE(rc.Interval, rc.Jitter, rc.Seed+3)
-		},
+		probe:   func(rc RunConfig) cpu.Probe { return profilers.NewSPE(rc.Interval, rc.Jitter, rc.Seed+3) },
 		profile: func(br *BenchRun) **pics.Profile { return &br.SPE }},
 	{name: "ris",
-		probe: func(_ *cpu.CPU, rc RunConfig) cpu.Probe {
-			return profilers.NewRIS(rc.Interval, rc.Jitter, rc.Seed+4)
-		},
+		probe:   func(rc RunConfig) cpu.Probe { return profilers.NewRIS(rc.Interval, rc.Jitter, rc.Seed+4) },
 		profile: func(br *BenchRun) **pics.Profile { return &br.RIS }},
 	{name: "counters",
-		probe: func(*cpu.CPU, RunConfig) cpu.Probe { return profilers.NewCounters() },
+		probe: func(RunConfig) cpu.Probe { return profilers.NewCounters() },
 		stats: func(br *BenchRun, pr cpu.Probe) { br.Counters = pr.(*profilers.Counters) }},
 	{name: "events",
-		probe: func(*cpu.CPU, RunConfig) cpu.Probe { return profilers.NewEventStats() },
+		probe: func(RunConfig) cpu.Probe { return profilers.NewEventStats() },
 		stats: func(br *BenchRun, pr cpu.Probe) { br.Events = pr.(*profilers.EventStats) }},
 	{name: "stalls",
-		probe: func(*cpu.CPU, RunConfig) cpu.Probe { return profilers.NewStallProbe() },
+		probe: func(RunConfig) cpu.Probe { return profilers.NewStallProbe() },
 		stats: func(br *BenchRun, pr cpu.Probe) { br.Stalls = pr.(*profilers.StallProbe) }},
 }
 
@@ -280,8 +273,8 @@ func CaptureTrace(ctx context.Context, p *program.Program, rc RunConfig) ([]byte
 // partitioned across up to GOMAXPROCS goroutines; each group decodes
 // the stream independently, so a single-threaded environment pays
 // exactly one decode pass while parallel ones overlap the techniques.
-// Replay is bit-identical to live attachment (see RunProgramLive and
-// the equivalence test), so the profiles do not depend on grouping.
+// Replay is bit-identical to live attachment (the equivalence tests
+// pin it), so the profiles do not depend on grouping.
 //
 // Stream-level failures — corruption, truncation, cancellation — abort
 // the whole replay with a typed error and no BenchRun. A failure inside
@@ -308,7 +301,7 @@ func replay(ctx context.Context, w workloads.Workload, p *program.Program, rc Ru
 	all := append(sel[:len(sel):len(sel)], testExtraProbes...)
 	probes := make([]cpu.Probe, len(all))
 	for i, t := range all {
-		probes[i] = t.probe(nil, rc)
+		probes[i] = t.probe(rc)
 	}
 	groups = min(groups, len(probes))
 	streamErrs := make([]error, groups)
@@ -339,7 +332,7 @@ func replay(ctx context.Context, w workloads.Workload, p *program.Program, rc Ru
 			continue
 		}
 		for i := g; i < len(all); i += groups {
-			probes[i] = all[i].probe(nil, rc)
+			probes[i] = all[i].probe(rc)
 			snap := simerr.Snapshot{Workload: w.Name, Technique: all[i].name}
 			perr, err := replayContained(ctx, data, snap, probes[i])
 			if err != nil {
@@ -470,23 +463,6 @@ func asSimErr(err error, workload string) *simerr.Error {
 		return se
 	}
 	return simerr.Wrap(simerr.ErrInternal, simerr.Snapshot{Workload: workload}, err, "run failed")
-}
-
-// RunProgramLive attaches every technique directly to the core — the
-// pre-capture evaluation path. The replay path must produce profiles
-// byte-identical to this one; the internal/trace equivalence test pins
-// that invariant across the whole suite.
-func RunProgramLive(w workloads.Workload, p *program.Program, rc RunConfig) *BenchRun {
-	c := cpu.New(rc.Core, p)
-	br := &BenchRun{Workload: w, Program: p, Errors: map[string]error{}}
-	probes := make([]cpu.Probe, len(techniques))
-	for i, t := range techniques {
-		probes[i] = t.probe(c, rc)
-		c.Attach(probes[i])
-	}
-	br.Stats = c.Run()
-	br.land(techniques, probes)
-	return br
 }
 
 // RunSuite runs the whole benchmark suite in two scheduled phases:

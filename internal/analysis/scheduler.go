@@ -14,6 +14,8 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/cpu"
+	"repro/internal/pics"
 	"repro/internal/program"
 	"repro/internal/simerr"
 	"repro/internal/tracestore"
@@ -104,6 +106,48 @@ func runGrid(ctx context.Context, jobs []captureJob, rcs []RunConfig) [][]*Bench
 		}
 	}
 	return runs
+}
+
+// replayProfiles is the grid runner of the studies that build their
+// own probes: it replays each job's capture, simulating only on a store
+// miss, to the probes build returns, and returns each job's profiles in
+// probe order. Like runGrid, it panics with the first failing job's
+// typed error once every job has returned.
+func replayProfiles(ctx context.Context, jobs []captureJob, build func() []cpu.Probe) [][]*pics.Profile {
+	profs := make([][]*pics.Profile, len(jobs))
+	errs := make([]error, len(jobs))
+	forEach(len(jobs), func(i int) {
+		profs[i], errs[i] = jobs[i].profiles(ctx, build)
+	})
+	for i, err := range errs {
+		if err != nil {
+			panic(asSimErr(err, jobs[i].w.Name))
+		}
+	}
+	return profs
+}
+
+// profiles replays j's capture to the probes build returns. It builds
+// them inside its recover scope, so an invalid configuration's panic
+// comes back typed instead of unwinding a worker goroutine.
+func (j captureJob) profiles(ctx context.Context, build func() []cpu.Probe) (profs []*pics.Profile, err error) {
+	defer simerr.Recover(&err, simerr.Snapshot{Workload: j.w.Name, Program: j.p.Name})
+	probes := build()
+	data, _, err := j.capture(ctx)
+	if err != nil {
+		return nil, err
+	}
+	perr, err := replayContained(ctx, data, simerr.Snapshot{Workload: j.w.Name}, probes...)
+	if perr != nil {
+		return nil, perr
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, pr := range probes {
+		profs = append(profs, pr.(profiler).Profile())
+	}
+	return profs, nil
 }
 
 // forEach calls fn(0) … fn(n-1) on min(GOMAXPROCS, n) goroutines and

@@ -1,11 +1,6 @@
 package profilers
 
-import (
-	"repro/internal/core"
-	"repro/internal/cpu"
-	"repro/internal/events"
-	"repro/internal/pics"
-)
+import "repro/internal/events"
 
 // NameDTEA names the dispatch-tagged TEA configuration.
 const NameDTEA = "D-TEA"
@@ -45,30 +40,4 @@ func AblationLadder() []EventSetAblation {
 			events.FLMB, events.FLEX, events.FLMO)},
 		{"9-bit (TEA: +drain events)", events.TEASet},
 	}
-}
-
-// RunAblation attaches one TEA unit per ladder rung plus a golden
-// reference to a single core and returns each rung's profile alongside
-// the golden profile.
-func RunAblation(c *cpu.CPU, interval, jitter, seed uint64) (rungs []*pics.Profile, golden *pics.Profile, ladder []EventSetAblation) {
-	g := core.NewGolden(c)
-	c.Attach(g)
-	ladder = AblationLadder()
-	units := make([]*core.TEA, len(ladder))
-	for i, rung := range ladder {
-		cfg := core.DefaultConfig()
-		cfg.IntervalCycles = interval
-		cfg.JitterCycles = jitter
-		cfg.Seed = seed
-		cfg.Set = rung.Set
-		units[i] = core.NewTEA(c, cfg)
-		c.Attach(units[i])
-	}
-	c.Run()
-	rungs = make([]*pics.Profile, len(units))
-	for i, u := range units {
-		rungs[i] = u.Profile()
-		rungs[i].Name = ladder[i].Name
-	}
-	return rungs, g.Profile(), ladder
 }

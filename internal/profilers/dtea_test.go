@@ -3,11 +3,7 @@ package profilers
 import (
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/events"
-	"repro/internal/isa"
-	"repro/internal/pics"
-	"repro/internal/program"
 )
 
 func TestDTEAConstruction(t *testing.T) {
@@ -43,37 +39,6 @@ func TestAblationLadderShape(t *testing.T) {
 			if !ladder[i].Set.Has(e) {
 				t.Errorf("rung %d dropped event %v from rung %d", i, e, i-1)
 			}
-		}
-	}
-}
-
-func TestRunAblationProducesAllRungs(t *testing.T) {
-	b := program.NewBuilder("ab")
-	arr := b.Alloc(8<<20, 4096)
-	b.Func("main")
-	b.MoviU(isa.X(1), arr)
-	b.Movi(isa.X(2), 0)
-	b.Movi(isa.X(3), 600)
-	b.Label("top")
-	b.Load(isa.X(4), isa.X(1), 0)
-	b.Addi(isa.X(1), isa.X(1), 8192)
-	b.Addi(isa.X(2), isa.X(2), 1)
-	b.Blt(isa.X(2), isa.X(3), "top")
-	b.Halt()
-	c := cpu.New(cpu.DefaultConfig(), b.MustBuild())
-	rungs, golden, ladder := RunAblation(c, 128, 8, 3)
-	if len(rungs) != len(ladder) {
-		t.Fatalf("got %d rung profiles for %d rungs", len(rungs), len(ladder))
-	}
-	if golden.Total() == 0 {
-		t.Fatalf("golden profile empty")
-	}
-	for i, prof := range rungs {
-		if prof.Total() == 0 {
-			t.Errorf("rung %d profile empty", i)
-		}
-		if e := pics.Error(prof, golden); e > 0.25 {
-			t.Errorf("rung %d error %.3f vs projected golden, want small", i, e)
 		}
 	}
 }

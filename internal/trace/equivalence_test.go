@@ -14,175 +14,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestSuiteReplayEquivalence pins the capture-once/replay-many
-// invariant for the whole evaluation pipeline: for every suite
-// workload, the profiles produced by replaying the captured trace
-// (analysis.RunProgram) are byte-identical — down to the serialized
-// JSON, seed fields included — to the profiles produced by attaching
-// every technique to the live core (analysis.RunProgramLive). Identical
-// bytes mean identical float summation order, not just numerical
-// closeness: the parallel replay must be undetectable downstream.
-//
-// With the content-addressed trace store in the path, "replay" now has
-// three flavors, and all must be equally undetectable: a fresh capture
-// (store miss), a memory-tier hit, and a disk-tier hit in a later
-// process (modeled as a fresh store over the same directory).
-func TestSuiteReplayEquivalence(t *testing.T) {
-	rc := analysis.DefaultRunConfig()
-	rc.Scale = 0.05
-	rc.Interval = 64
-	rc.Jitter = 8
-	for _, w := range workloads.All() {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			iters := int(float64(w.DefaultIters) * rc.Scale)
-			if iters < 2 {
-				iters = 2
-			}
-			p := w.Build(iters)
-
-			dir := t.TempDir()
-			prev := analysis.SetTraceStore(analysis.NewTraceStore(analysis.DefaultStoreBudget, dir))
-			defer analysis.SetTraceStore(prev)
-
-			live := analysis.RunProgramLive(w, p, rc)
-			fresh := analysis.RunProgram(w, p, rc) // store miss: captures + persists
-			memHit := analysis.RunProgram(w, p, rc)
-			analysis.SetTraceStore(analysis.NewTraceStore(analysis.DefaultStoreBudget, dir))
-			diskHit := analysis.RunProgram(w, p, rc)
-
-			for _, variant := range []struct {
-				kind     string
-				replayed *analysis.BenchRun
-			}{
-				{"fresh-capture", fresh},
-				{"memory-cache-hit", memHit},
-				{"disk-cache-hit", diskHit},
-			} {
-				replayed := variant.replayed
-				if live.Stats.Cycles != replayed.Stats.Cycles {
-					t.Errorf("%s: cycle counts differ: live %d, replay %d",
-						variant.kind, live.Stats.Cycles, replayed.Stats.Cycles)
-				}
-				pairs := []struct {
-					name string
-					a, b *pics.Profile
-				}{
-					{"golden", live.Golden, replayed.Golden},
-					{"TEA", live.TEA, replayed.TEA},
-					{"NCI-TEA", live.NCITEA, replayed.NCITEA},
-					{"IBS", live.IBS, replayed.IBS},
-					{"SPE", live.SPE, replayed.SPE},
-					{"RIS", live.RIS, replayed.RIS},
-				}
-				for _, pr := range pairs {
-					la, err := marshal(pr.a)
-					if err != nil {
-						t.Fatalf("%s/%s: live marshal: %v", variant.kind, pr.name, err)
-					}
-					rb, err := marshal(pr.b)
-					if err != nil {
-						t.Fatalf("%s/%s: replay marshal: %v", variant.kind, pr.name, err)
-					}
-					if !bytes.Equal(la, rb) {
-						t.Errorf("%s/%s: replayed profile JSON differs from live (%d vs %d bytes)",
-							variant.kind, pr.name, len(la), len(rb))
-					}
-				}
-				if live.Events.Total != replayed.Events.Total ||
-					live.Events.WithEvent != replayed.Events.WithEvent ||
-					live.Events.Combined != replayed.Events.Combined {
-					t.Errorf("%s: event stats differ: live %+v, replay %+v",
-						variant.kind, *live.Events, *replayed.Events)
-				}
-			}
-		})
-	}
-}
-
-// TestRunSuiteReplayEquivalence pins the grid path: RunSuite replays
-// each workload on one goroutine from the scheduler's shared captures,
-// and every profile it produces must render byte-identically to live
-// attachment.
-func TestRunSuiteReplayEquivalence(t *testing.T) {
-	rc := analysis.DefaultRunConfig()
-	rc.Scale = 0.05
-	rc.Interval = 64
-	rc.Jitter = 8
-
-	prev := analysis.SetTraceStore(analysis.NewTraceStore(analysis.DefaultStoreBudget, ""))
-	defer analysis.SetTraceStore(prev)
-	runs := analysis.RunSuite(rc)
-	for i, w := range workloads.All() {
-		iters := int(float64(w.DefaultIters) * rc.Scale)
-		if iters < 2 {
-			iters = 2
-		}
-		live := analysis.RunProgramLive(w, w.Build(iters), rc)
-		if runs[i].Workload.Name != w.Name || runs[i].Stats.Cycles != live.Stats.Cycles {
-			t.Errorf("%s: suite run %s, %d cycles; live %d cycles",
-				w.Name, runs[i].Workload.Name, runs[i].Stats.Cycles, live.Stats.Cycles)
-		}
-		for _, name := range analysis.ProfileTechniques() {
-			lb, err := marshal(live.Profile(name))
-			if err != nil {
-				t.Fatalf("%s/%s: live marshal: %v", w.Name, name, err)
-			}
-			sb, err := marshal(runs[i].Profile(name))
-			if err != nil {
-				t.Fatalf("%s/%s: suite marshal: %v", w.Name, name, err)
-			}
-			if !bytes.Equal(lb, sb) {
-				t.Errorf("%s/%s: RunSuite profile JSON differs from live (%d vs %d bytes)",
-					w.Name, name, len(sb), len(lb))
-			}
-		}
-	}
-}
-
-// TestFrequencySweepSharedCaptureEquivalence pins the suite-scheduler
-// half of the dedup tentpole: FrequencySweep captures each workload
-// once and replays it per interval, and its results must be exactly —
-// float-for-float — what per-interval full re-simulation (live
-// attachment, no cache anywhere) produces under the same SweepConfig.
-func TestFrequencySweepSharedCaptureEquivalence(t *testing.T) {
-	rc := analysis.DefaultRunConfig()
-	rc.Scale = 0.05
-	intervals := []uint64{64, 192}
-
-	prev := analysis.SetTraceStore(analysis.NewTraceStore(analysis.DefaultStoreBudget, ""))
-	defer analysis.SetTraceStore(prev)
-	start := analysis.CaptureCount()
-	pts := analysis.FrequencySweep(rc, intervals)
-	if got, want := analysis.CaptureCount()-start, uint64(len(workloads.All())); got != want {
-		t.Fatalf("sweep performed %d captures; want %d (one per workload)", got, want)
-	}
-
-	for i, iv := range intervals {
-		cfg := analysis.SweepConfig(rc, iv)
-		var runs []*analysis.BenchRun
-		for _, w := range workloads.All() {
-			iters := int(float64(w.DefaultIters) * cfg.Scale)
-			if iters < 2 {
-				iters = 2
-			}
-			runs = append(runs, analysis.RunProgramLive(w, w.Build(iters), cfg))
-		}
-		rows := analysis.AccuracyStudy(runs)
-		want := rows[len(rows)-1].Errors
-		got := pts[i].Average
-		if len(got) != len(want) {
-			t.Fatalf("interval %d: %d techniques from sweep, %d from re-simulation", iv, len(got), len(want))
-		}
-		for tech, wv := range want {
-			if gv, ok := got[tech]; !ok || gv != wv {
-				t.Errorf("interval %d, %s: shared-capture sweep %v, per-interval re-simulation %v",
-					iv, tech, gv, wv)
-			}
-		}
-	}
-}
-
 func marshal(p *pics.Profile) ([]byte, error) {
 	var buf bytes.Buffer
 	err := p.WriteJSON(&buf)
