@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/profio"
@@ -124,7 +125,9 @@ func run(id string, rc analysis.RunConfig) error {
 		analysis.RenderFig7(out, analysis.EventCorrelation(suite(rc)))
 	case "fig8":
 		iv := rc.Interval
-		sweep := []uint64{iv / 4, iv / 2, iv, iv * 2, iv * 4, iv * 8}
+		// A small -interval's sub-cycle points are dropped, not sampled.
+		sweep := slices.DeleteFunc([]uint64{iv / 4, iv / 2, iv, iv * 2, iv * 4, iv * 8},
+			func(v uint64) bool { return v == 0 })
 		analysis.RenderFig8(out, analysis.FrequencySweep(rc, sweep))
 	case "fig9":
 		analysis.RenderFig9(out, analysis.GranularityStudy(suite(rc)))

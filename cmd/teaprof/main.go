@@ -9,9 +9,12 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -39,6 +42,12 @@ func main() {
 		os.Exit(2)
 	}
 
+	name := strings.ToLower(*tech)
+	if known := analysis.ProfileTechniques(); !slices.Contains(known, name) {
+		fmt.Fprintf(os.Stderr, "teaprof: unknown technique %q (known: %s)\n", *tech, strings.Join(known, ", "))
+		os.Exit(2)
+	}
+
 	w, err := workloads.ByName(*bench)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "teaprof:", err)
@@ -50,19 +59,20 @@ func main() {
 	rc.Jitter = *interval / 16
 	rc.Seed = *seed
 
+	// Only golden, which the error and the cycle shares read, and the
+	// requested technique are replayed.
 	var br *analysis.BenchRun
-	if err := profio.Profiled(*cpuprofile, *memprofile, func() error {
-		br = analysis.RunBenchmark(w, rc)
-		return nil
+	if err := profio.Profiled(*cpuprofile, *memprofile, func() (err error) {
+		br, err = analysis.RunTechniquesContext(context.Background(), w, w.Build(rc.Iters(w)), rc, []string{"golden", name})
+		if err == nil {
+			err = errors.Join(br.Errors["golden"], br.Errors[name])
+		}
+		return err
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "teaprof:", err)
 		os.Exit(1)
 	}
-	prof := br.Profile(strings.ToLower(*tech))
-	if prof == nil {
-		fmt.Fprintf(os.Stderr, "teaprof: unknown technique %q\n", *tech)
-		os.Exit(1)
-	}
+	prof := br.Profile(name)
 
 	if *asJSON {
 		if err := prof.WriteJSON(os.Stdout); err != nil {

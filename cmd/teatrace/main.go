@@ -18,13 +18,14 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/cpu"
 	"repro/internal/pics"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
@@ -54,7 +55,12 @@ func main() {
 			os.Exit(1)
 		}
 	case *replay != "" && *record == "" && *stats == "":
-		if err := doReplay(*replay, *tech, *interval, *top); err != nil {
+		name := strings.ToLower(*tech)
+		if known := analysis.ProfileTechniques(); !slices.Contains(known, name) {
+			fmt.Fprintf(os.Stderr, "teatrace: unknown technique %q (known: %s)\n", *tech, strings.Join(known, ", "))
+			os.Exit(2)
+		}
+		if err := doReplay(*replay, name, *interval, *top); err != nil {
 			fmt.Fprintln(os.Stderr, "teatrace:", err)
 			os.Exit(1)
 		}
@@ -130,33 +136,22 @@ func doRecord(path, bench string, scale float64) error {
 	if err != nil {
 		return err
 	}
-	iters := int(float64(w.DefaultIters) * scale)
-	if iters < 2 {
-		iters = 2
-	}
-	f, err := os.Create(path)
+	rc := analysis.DefaultRunConfig()
+	rc.Scale = scale
+	data, stats, err := analysis.CaptureTrace(context.Background(), w.Build(rc.Iters(w)), rc)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-
-	c := cpu.New(cpu.DefaultConfig(), w.Build(iters))
-	tw := trace.NewWriter(f)
-	c.Attach(tw)
-	stats := c.Run()
-	if tw.Err() != nil {
-		return tw.Err()
-	}
-	info, err := f.Stat()
-	if err != nil {
+	if err := os.WriteFile(path, data, 0o666); err != nil {
 		return err
 	}
-	fmt.Printf("recorded %s: %d cycles, %d instructions -> %s (%d bytes, %.1f B/cycle, %d records)\n",
-		bench, stats.Cycles, stats.Committed, path, info.Size(),
-		float64(info.Size())/float64(stats.Cycles), tw.Records)
+	fmt.Printf("recorded %s: %d cycles, %d instructions -> %s (%d bytes, %.1f B/cycle)\n",
+		bench, stats.Cycles, stats.Committed, path, len(data), float64(len(data))/float64(stats.Cycles))
 	return nil
 }
 
+// doReplay replays the trace at path to every technique and prints
+// tech, a name ProfileTechniques lists.
 func doReplay(path, tech string, interval uint64, top int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -170,10 +165,10 @@ func doReplay(path, tech string, interval uint64, top int) error {
 	if err != nil {
 		return err
 	}
-	p := br.Profile(strings.ToLower(tech))
-	if p == nil {
-		return fmt.Errorf("unknown technique %q", tech)
+	if err := errors.Join(br.Errors["golden"], br.Errors[tech]); err != nil {
+		return err
 	}
+	p := br.Profile(tech)
 	// Golden attributes every cycle exactly once, so its total is the
 	// trace's cycle count.
 	total := br.Golden.Total()

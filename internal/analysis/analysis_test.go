@@ -197,9 +197,28 @@ func TestGranularityStudy(t *testing.T) {
 
 func TestPrefetchSweep(t *testing.T) {
 	rc := testConfig()
+	prev := SetTraceStore(NewTraceStore(DefaultStoreBudget, ""))
+	defer SetTraceStore(prev)
+	start := CaptureCount()
 	pts := PrefetchSweep(rc, []int{0, 2, 4})
 	if len(pts) != 3 {
 		t.Fatalf("got %d points", len(pts))
+	}
+	if got := CaptureCount() - start; got != 3 {
+		t.Errorf("sweep made %d captures, want one per distance (3)", got)
+	}
+	// Each grid cell must match a lone run of the same program.
+	w, _ := workloads.ByName("lbm")
+	for _, pt := range pts {
+		lone := RunProgram(w, workloads.LBM(rc.iters(w), pt.Distance), rc)
+		if pt.Cycles != lone.Stats.Cycles {
+			t.Errorf("distance %d: %d cycles, lone run %d", pt.Distance, pt.Cycles, lone.Stats.Cycles)
+		}
+		for _, name := range ProfileTechniques() {
+			if !bytes.Equal(renderJSON(t, pt.Run.Profile(name)), renderJSON(t, lone.Profile(name))) {
+				t.Errorf("distance %d: %s profile differs from a lone run", pt.Distance, name)
+			}
+		}
 	}
 	if pts[0].Speedup != 1.0 {
 		t.Errorf("distance-0 speedup = %v, want 1.0", pts[0].Speedup)

@@ -265,18 +265,24 @@ type PrefetchPoint struct {
 	Run                   *BenchRun
 }
 
-// PrefetchSweep computes Figure 11: lbm across prefetch distances.
+// PrefetchSweep computes Figure 11: lbm across prefetch distances,
+// one grid cell per distance, so the distances capture and replay in
+// parallel.
+//
+//tealint:ctxroot figure entry point invoked by the experiment CLIs, which have no context to thread
 func PrefetchSweep(rc RunConfig, distances []int) []PrefetchPoint {
 	w, _ := workloads.ByName("lbm")
 	iters := rc.iters(w)
+	jobs := make([]captureJob, len(distances))
+	for i, d := range distances {
+		jobs[i] = newCaptureJob(w, workloads.LBM(iters, d), rc)
+	}
 	var base uint64
 	out := make([]PrefetchPoint, 0, len(distances))
-	for _, d := range distances {
-		br := RunProgram(w, workloads.LBM(iters, d), rc)
-		if d == 0 || base == 0 {
-			if d == 0 {
-				base = br.Stats.Cycles
-			}
+	for i, br := range runGrid(context.Background(), jobs, []RunConfig{rc})[0] {
+		d := distances[i]
+		if d == 0 {
+			base = br.Stats.Cycles
 		}
 		pt := PrefetchPoint{Distance: d, Cycles: br.Stats.Cycles, Run: br}
 		pt.LoadPC, pt.LoadStack = topOfClass(br.TEA, br, func(op isa.Op) bool { return isa.IsLoad(op) })

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cpu"
@@ -62,53 +63,40 @@ func chaosTechnique(name, hook string) technique {
 	}}
 }
 
-// replayPaths are the two shapes of a replay: a lone replay fanning
-// its probes out over several groups (four, so the fan-out runs on any
-// host), and the one-group replay of a grid cell.
-var replayPaths = []struct {
-	name   string
-	groups int
-}{{"fan-out", 4}, {"one-group", 1}}
-
-// checkContained replays p to sel plus the extra chaos techniques
-// through each replay path. Exactly the extras must fail, each with a
-// typed ErrInternal naming it, and every selected technique's result
-// must match the clean run byte for byte.
+// checkContained replays p to sel plus the extra chaos techniques.
+// Exactly the extras must fail, each with a typed ErrInternal naming
+// it, and every selected technique's result must match the clean run
+// byte for byte.
 func checkContained(t *testing.T, w workloads.Workload, p *program.Program, rc RunConfig, sel []technique, clean *BenchRun, extra ...technique) {
 	t.Helper()
-	testExtraProbes = extra
-	defer func() { testExtraProbes = nil }()
-	for _, path := range replayPaths {
-		br, err := newCaptureJob(w, p, rc).run(context.Background(), rc, sel, path.groups)
-		if err != nil {
-			t.Fatalf("%s: run with panicking probe must not fail outright: %v", path.name, err)
+	br, err := newCaptureJob(w, p, rc).run(context.Background(), rc, slices.Concat(sel, extra))
+	if err != nil {
+		t.Fatalf("run with panicking probe must not fail outright: %v", err)
+	}
+	if len(br.Errors) != len(extra) {
+		t.Fatalf("errors %v, want only the %d chaos probes", br.Errors, len(extra))
+	}
+	for _, x := range extra {
+		var se *simerr.Error
+		if !errors.As(br.Errors[x.name], &se) || se.Kind != simerr.ErrInternal || se.Snap.Technique != x.name {
+			t.Fatalf("%s error = %v, want ErrInternal naming it", x.name, br.Errors[x.name])
 		}
-		if len(br.Errors) != len(extra) {
-			t.Fatalf("%s: errors %v, want only the %d chaos probes", path.name, br.Errors, len(extra))
+	}
+	for _, tech := range sel {
+		if tech.profile != nil && !bytes.Equal(renderJSON(t, br.Profile(tech.name)), renderJSON(t, clean.Profile(tech.name))) {
+			t.Errorf("%s profile differs from the clean run", tech.name)
 		}
-		for _, x := range extra {
-			var se *simerr.Error
-			if !errors.As(br.Errors[x.name], &se) || se.Kind != simerr.ErrInternal || se.Snap.Technique != x.name {
-				t.Fatalf("%s: %s error = %v, want ErrInternal naming it", path.name, x.name, br.Errors[x.name])
-			}
-		}
-		for _, tech := range sel {
-			if tech.profile != nil && !bytes.Equal(renderJSON(t, br.Profile(tech.name)), renderJSON(t, clean.Profile(tech.name))) {
-				t.Errorf("%s: %s profile differs from the clean run", path.name, tech.name)
-			}
-		}
-		if !reflect.DeepEqual([]any{br.Counters, br.Events, br.Stalls}, []any{clean.Counters, clean.Events, clean.Stalls}) {
-			t.Errorf("%s: statistics probes differ from the clean run", path.name)
-		}
+	}
+	if !reflect.DeepEqual([]any{br.Counters, br.Events, br.Stalls}, []any{clean.Counters, clean.Events, clean.Stalls}) {
+		t.Errorf("statistics probes differ from the clean run")
 	}
 }
 
 // TestPanickingProbeContained is the regression test for the
 // goroutine-panic bug: a probe that panics during replay used to kill
 // the whole process (panic in a bare goroutine). Now it must only void
-// its own technique, whichever hook it panics in and however the
-// replay is grouped, while the other nine render byte-identically to a
-// clean run.
+// its own technique, whichever hook it panics in, while the other nine
+// render byte-identically to a clean run.
 func TestPanickingProbeContained(t *testing.T) {
 	w := robustWorkload(t)
 	rc := testConfig()
@@ -136,14 +124,11 @@ func TestPanickingProbeContained(t *testing.T) {
 			t.Fatal(err)
 		}
 		data[len(data)-1] ^= 0xff
-		testExtraProbes = []technique{chaosTechnique("chaos-probe", "OnCommit")}
-		defer func() { testExtraProbes = nil }()
-		for _, sel := range [][]technique{techniques, nil} {
-			for _, path := range replayPaths {
-				br, err := replay(context.Background(), w, p, rc, data, sel, path.groups)
-				if br != nil || !errors.Is(err, simerr.ErrDecode) {
-					t.Errorf("%s, %d techniques: got %v, %v; want nil and ErrDecode", path.name, len(sel), br, err)
-				}
+		chaos := chaosTechnique("chaos-probe", "OnCommit")
+		for _, sel := range [][]technique{slices.Concat(techniques, []technique{chaos}), {chaos}} {
+			br, err := replay(context.Background(), w, p, rc, data, sel)
+			if br != nil || !errors.Is(err, simerr.ErrDecode) {
+				t.Errorf("%d techniques: got %v, %v; want nil and ErrDecode", len(sel), br, err)
 			}
 		}
 	})

@@ -10,8 +10,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -242,12 +240,6 @@ func (br *BenchRun) land(sel []technique, probes []cpu.Probe) {
 	}
 }
 
-// testExtraProbes are replayed after the selected techniques in every
-// replay. The panic-containment tests use them to
-// prove a misbehaving probe cannot crash the process or void the other
-// techniques' profiles; their results land nowhere.
-var testExtraProbes []technique
-
 // CaptureTrace runs the core exactly once with only the trace-capture
 // probe attached and returns the encoded stream — the "simulate once"
 // half of the paper's capture/replay methodology. The chaos harness
@@ -270,90 +262,60 @@ func CaptureTrace(ctx context.Context, p *program.Program, rc RunConfig) ([]byte
 }
 
 // ReplayCaptured replays an encoded trace to the full technique suite,
-// partitioned across up to GOMAXPROCS goroutines; each group decodes
-// the stream independently, so a single-threaded environment pays
-// exactly one decode pass while parallel ones overlap the techniques.
-// Replay is bit-identical to live attachment (the equivalence tests
-// pin it), so the profiles do not depend on grouping.
+// decoding the stream once on the calling goroutine. Replay is
+// bit-identical to live attachment (the equivalence tests pin it).
 //
 // Stream-level failures — corruption, truncation, cancellation — abort
 // the whole replay with a typed error and no BenchRun. A failure inside
 // one technique's probe only voids that technique (BenchRun.Errors);
 // the remaining techniques still produce complete profiles.
 func ReplayCaptured(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, data []byte) (*BenchRun, error) {
-	return replay(ctx, w, p, rc, data, techniques, runtime.GOMAXPROCS(0))
+	return replay(ctx, w, p, rc, data, techniques)
 }
 
-// replay replays data to the selected techniques, partitioned across
-// min(groups, probes) goroutines that each decode the whole stream. A
-// lone replay passes GOMAXPROCS to overlap its probes; a grid cell,
-// which already shares the CPUs with the other cells, passes 1 and
-// decodes once.
+// replay decodes data once, on the calling goroutine, into the
+// selected techniques' probes.
 //
 // Probe hooks run unguarded, so the per-record path pays nothing for
-// containment. Each group recovers its own panic instead; once every
-// group has returned, each technique of a panicked group replays
-// alone on a fresh probe to find the one that failed. Probes are
-// deterministic in (program, config, stream), so the survivors'
-// results are a clean run's, and the extra decodes happen only on
-// this failure path.
-func replay(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, data []byte, sel []technique, groups int) (*BenchRun, error) {
-	all := append(sel[:len(sel):len(sel)], testExtraProbes...)
-	probes := make([]cpu.Probe, len(all))
-	for i, t := range all {
+// containment. The replay recovers its own panic instead; after one,
+// each technique replays alone on a fresh probe to find the one that
+// failed. Probes are deterministic in (program, config, stream), so the
+// survivors' results are a clean run's, and the extra decodes happen
+// only on this failure path.
+func replay(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, data []byte, sel []technique) (*BenchRun, error) {
+	probes := make([]cpu.Probe, len(sel))
+	for i, t := range sel {
 		probes[i] = t.probe(rc)
 	}
-	groups = min(groups, len(probes))
-	streamErrs := make([]error, groups)
-	panics := make([]*simerr.Error, groups)
-	var wg sync.WaitGroup
-	for g := range groups {
-		group := make([]cpu.Probe, 0, (len(probes)+groups-1)/groups)
-		for i := g; i < len(probes); i += groups {
-			group = append(group, probes[i])
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			panics[g], streamErrs[g] = replayContained(ctx, data, simerr.Snapshot{Workload: w.Name}, group...)
-		}()
-	}
-	wg.Wait()
-	// Every run decodes the same bytes, so a stream failure in any run
-	// condemns the stream for all of them.
-	for _, err := range streamErrs {
-		if err != nil {
-			return nil, err
-		}
+	perr, err := replayContained(ctx, data, simerr.Snapshot{Workload: w.Name}, probes...)
+	if err != nil {
+		return nil, err
 	}
 	br := &BenchRun{Workload: w, Program: p, Errors: map[string]error{}}
-	for g := range groups {
-		if panics[g] == nil {
-			continue
-		}
-		for i := g; i < len(all); i += groups {
-			probes[i] = all[i].probe(rc)
-			snap := simerr.Snapshot{Workload: w.Name, Technique: all[i].name}
+	if perr != nil {
+		for i, t := range sel {
+			probes[i] = t.probe(rc)
+			snap := simerr.Snapshot{Workload: w.Name, Technique: t.name}
 			perr, err := replayContained(ctx, data, snap, probes[i])
 			if err != nil {
 				return nil, err
 			}
 			if perr != nil {
-				br.Errors[all[i].name] = perr
+				br.Errors[t.name] = perr
 			}
 		}
-	}
-	// A run that panicked stopped short of the integrity digest. When
-	// every technique failed, no run reached it: decode once more with
-	// no probe attached, so a corrupt stream still fails the replay
-	// instead of surfacing as probe errors.
-	if len(br.Errors) == len(all) {
-		perr, err := replayContained(ctx, data, simerr.Snapshot{Workload: w.Name})
-		if err != nil {
-			return nil, err
-		}
-		if perr != nil {
-			return nil, perr
+		// A run that panicked stopped short of the integrity digest.
+		// When every technique failed, no run reached it: decode once
+		// more with no probe attached, so a corrupt stream still fails
+		// the replay instead of surfacing as probe errors.
+		if len(br.Errors) == len(sel) {
+			perr, err := replayContained(ctx, data, simerr.Snapshot{Workload: w.Name})
+			if err != nil {
+				return nil, err
+			}
+			if perr != nil {
+				return nil, perr
+			}
 		}
 	}
 	br.land(sel, probes)
@@ -382,7 +344,7 @@ func replayContained(ctx context.Context, data []byte, snap simerr.Snapshot, pro
 // cancellation — comes back as a typed *simerr.Error; a cancelled or
 // failed run returns a nil BenchRun, never a partial profile.
 func RunProgramContext(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig) (*BenchRun, error) {
-	return newCaptureJob(w, p, rc).run(ctx, rc, techniques, runtime.GOMAXPROCS(0))
+	return newCaptureJob(w, p, rc).run(ctx, rc, techniques)
 }
 
 // RunTechniquesContext is RunProgramContext for a subset of the
@@ -398,14 +360,14 @@ func RunTechniquesContext(ctx context.Context, w workloads.Workload, p *program.
 	if err != nil {
 		return nil, err
 	}
-	return newCaptureJob(w, p, rc).run(ctx, rc, sel, runtime.GOMAXPROCS(0))
+	return newCaptureJob(w, p, rc).run(ctx, rc, sel)
 }
 
 // run looks up j's capture in the trace store (simulating on a miss)
-// and replays it to sel under rc across groups goroutines (see replay).
+// and replays it to sel under rc (see replay).
 // rc may differ from j.rc only in the sampling knobs, which the capture
 // key leaves out.
-func (j captureJob) run(ctx context.Context, rc RunConfig, sel []technique, groups int) (br *BenchRun, err error) {
+func (j captureJob) run(ctx context.Context, rc RunConfig, sel []technique) (br *BenchRun, err error) {
 	defer func() {
 		if err != nil {
 			br = nil
@@ -416,7 +378,7 @@ func (j captureJob) run(ctx context.Context, rc RunConfig, sel []technique, grou
 	if err != nil {
 		return nil, err
 	}
-	br, err = replay(ctx, j.w, j.p, rc, data, sel, groups)
+	br, err = replay(ctx, j.w, j.p, rc, data, sel)
 	if err != nil {
 		return nil, err
 	}

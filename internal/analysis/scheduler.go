@@ -78,14 +78,12 @@ func scheduleCaptures(ctx context.Context, jobs []captureJob) error {
 	return nil
 }
 
-// runGrid is the grid runner of RunSuite and FrequencySweep: it
-// schedules the jobs' captures, then replays every job under every
-// config in rcs, returning the runs indexed [config][job]. The grid
-// already keeps every CPU busy with GOMAXPROCS replays at once, so each
-// replay runs its probes on one goroutine and decodes its trace once.
-// A grid figure needs every cell, so any failure — a capture, a
-// stream, or a single technique — panics with the first failing cell's
-// typed error in grid order.
+// runGrid is the grid runner of RunSuite, FrequencySweep and
+// PrefetchSweep: it schedules the jobs' captures, then replays every
+// job under every config in rcs, GOMAXPROCS cells at a time, returning
+// the runs indexed [config][job]. A grid figure needs every cell, so
+// any failure — a capture, a stream, or a single technique — panics
+// with the first failing cell's typed error in grid order.
 func runGrid(ctx context.Context, jobs []captureJob, rcs []RunConfig) [][]*BenchRun {
 	if err := scheduleCaptures(ctx, jobs); err != nil {
 		panic(asSimErr(err, ""))
@@ -97,7 +95,7 @@ func runGrid(ctx context.Context, jobs []captureJob, rcs []RunConfig) [][]*Bench
 	fails := make([]*simerr.Error, len(rcs)*len(jobs))
 	forEach(len(fails), func(i int) {
 		c, j := i/len(jobs), i%len(jobs)
-		br, err := jobs[j].run(ctx, rcs[c], techniques, 1)
+		br, err := jobs[j].run(ctx, rcs[c], techniques)
 		runs[c][j], fails[i] = br, runFailure(br, err, jobs[j].w.Name)
 	})
 	for _, se := range fails {

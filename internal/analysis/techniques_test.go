@@ -96,9 +96,8 @@ func TestSelectiveReplayEmptyList(t *testing.T) {
 }
 
 // TestUnrequestedPanickingProbeContained: a probe nobody asked for that
-// panics mid-replay, in any hook and through either replay path, voids
-// only itself; the requested technique still renders byte-identically
-// to a clean run.
+// panics mid-replay, in any hook, voids only itself; the requested
+// technique still renders byte-identically to a clean run.
 func TestUnrequestedPanickingProbeContained(t *testing.T) {
 	rc := testRC()
 	w, p := testProgram(t, rc)

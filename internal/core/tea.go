@@ -45,45 +45,27 @@ type Sampler struct {
 	rng      *rand.Rand
 }
 
-// SamplerSource returns the canonical jitter source for a seed. Every
-// sampler in the tree derives its randomness from an explicit, seeded
-// *rand.Rand (never the package-global math/rand/v2 state, which the
-// tealint randsource analyzer forbids), so identical traces plus an
-// identical seed produce identical PICS.
-func SamplerSource(seed uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, 0x7EA))
-}
-
-// NewSampler returns a sampler firing roughly every interval cycles.
-// jitter is the half-width of the uniform perturbation (0 disables
-// it); rng is the injected jitter source — it must not be shared with
-// another consumer if replay reproducibility matters. A nil rng is
-// allowed only when jitter is 0.
-func NewSampler(interval, jitter uint64, rng *rand.Rand) *Sampler {
+// NewSeededSampler returns a sampler firing roughly every interval
+// cycles. jitter is the half-width of the uniform perturbation (0
+// disables it), drawn from a PCG stream derived from seed. Every
+// sampler in the tree derives its randomness from an explicit seed
+// (never the package-global math/rand/v2 state, which the tealint
+// randsource analyzer forbids), so identical traces plus an identical
+// seed produce identical PICS.
+func NewSeededSampler(interval, jitter, seed uint64) *Sampler {
 	if interval == 0 {
 		// User-reachable through configuration; typed for boundary
 		// recovery (simerr.ErrInvalidConfig).
 		panic(simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{},
 			"core: sampling interval must be positive"))
 	}
-	if rng == nil && jitter > 0 {
-		panic(simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{},
-			"core: jittered sampler needs an explicit rand source"))
-	}
 	s := &Sampler{
 		interval: interval,
 		jitter:   jitter,
-		rng:      rng,
+		rng:      rand.New(rand.NewPCG(seed, 0x7EA)),
 	}
 	s.next = s.interval
 	return s
-}
-
-// NewSeededSampler is NewSampler with the jitter source derived from
-// an integer seed, for callers that record the seed rather than the
-// source.
-func NewSeededSampler(interval, jitter, seed uint64) *Sampler {
-	return NewSampler(interval, jitter, SamplerSource(seed))
 }
 
 // Fires reports whether a sample point is due at cycle and advances the
@@ -120,11 +102,6 @@ type Config struct {
 	// Seed makes the sample clock reproducible. It is recorded in the
 	// generated profile so a run can be replayed bit-identically.
 	Seed uint64
-	// Rand, when non-nil, overrides the Seed-derived jitter source with
-	// an explicitly injected one. Seed is still recorded in the profile
-	// as the replay key, so callers injecting a source should derive it
-	// from Seed (e.g. via SamplerSource).
-	Rand *rand.Rand
 	// Set is the tracked event set (TEA tracks all nine; TIP is TEA
 	// with an empty set).
 	Set events.Set
@@ -198,11 +175,7 @@ func NewTEA(core *cpu.CPU, cfg Config) *TEA {
 		keep: !cfg.EveryCycle,
 	}
 	if !cfg.EveryCycle {
-		rng := cfg.Rand
-		if rng == nil {
-			rng = SamplerSource(cfg.Seed)
-		}
-		t.sampler = NewSampler(cfg.IntervalCycles, cfg.JitterCycles, rng)
+		t.sampler = NewSeededSampler(cfg.IntervalCycles, cfg.JitterCycles, cfg.Seed)
 		t.acc.SetSeed(cfg.Seed)
 	}
 	return t

@@ -53,9 +53,9 @@ import (
 // DefaultConfig. docs/OPERATIONS.md discusses how to tune each knob.
 type Config struct {
 	// Workers is the worker-pool size: the number of jobs simulated
-	// concurrently (default: 4). Captures are single-threaded, but each
-	// job's replay additionally fans out across GOMAXPROCS, so the
-	// useful range is ~NumCPU/2 .. NumCPU.
+	// concurrently (default: 4). A job's capture and its replay each
+	// run on one goroutine, so a job uses one CPU and the useful size
+	// is about NumCPU.
 	Workers int
 	// QueueDepth bounds the admission queue; a submit that finds the
 	// queue full is rejected with 429 + Retry-After (default: 64).

@@ -53,29 +53,32 @@ go build -o bin/teachaos ./cmd/teachaos
 ./bin/teachaos -seed 1 -workload bwaves -scale 0.05
 ./bin/teachaos -disk
 
-# CLI smoke: every teaexp experiment at a small scale, a teatrace
-# record/replay/stats round trip, and a zero -interval rejected by each
-# sampling CLI with exit 2 and a one-line message. A Go panic also
-# exits 2, so stderr must not carry one.
+# CLI smoke: every teaexp experiment at a small scale, Figure 8 at an
+# interval whose sweep reaches below one cycle, a teatrace
+# record/replay/stats round trip, and usage errors — a zero -interval,
+# an unknown -tech — rejected by each CLI with exit 2 and a one-line
+# message, before any work. A Go panic also exits 2, so stderr must not
+# carry one.
 clidir=$(mktemp -d)
 trap 'rm -rf "$clidir"' EXIT
 go build -o "$clidir/" ./cmd/teaexp ./cmd/teaprof ./cmd/teatrace
 "$clidir/teaexp" -scale 0.05 all >/dev/null
+"$clidir/teaexp" -scale 0.05 -interval 3 fig8 >/dev/null
 "$clidir/teatrace" -record "$clidir/bwaves.trace" -bench bwaves -scale 0.05
 "$clidir/teatrace" -replay "$clidir/bwaves.trace" >/dev/null
 "$clidir/teatrace" -stats "$clidir/bwaves.trace" >/dev/null
-rejects_zero_interval() {
-	bin=$1
-	shift
+rejects_usage() {
 	status=0
-	"$bin" -interval 0 "$@" >/dev/null 2>"$clidir/stderr" || status=$?
+	"$@" >/dev/null 2>"$clidir/stderr" || status=$?
 	cat "$clidir/stderr"
 	test "$status" -eq 2
 	if grep -Eq 'panic:|goroutine' "$clidir/stderr"; then exit 1; fi
 }
-rejects_zero_interval "$clidir/teaexp" fig5
-rejects_zero_interval "$clidir/teaprof"
-rejects_zero_interval "$clidir/teatrace" -replay "$clidir/bwaves.trace"
+rejects_usage "$clidir/teaexp" -interval 0 fig5
+rejects_usage "$clidir/teaprof" -interval 0
+rejects_usage "$clidir/teatrace" -interval 0 -replay "$clidir/bwaves.trace"
+rejects_usage "$clidir/teaprof" -tech nope
+rejects_usage "$clidir/teatrace" -replay "$clidir/bwaves.trace" -tech nope
 
 # End-to-end benchmark smoke: bench/ is its own module, out of reach of
 # `go build ./...`; its smoke test keeps it compiling and running.
