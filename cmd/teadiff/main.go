@@ -27,31 +27,37 @@ func main() {
 	top := flag.Int("top", 8, "number of diff rows to print")
 	scale := flag.Float64("scale", 0.5, "workload size multiplier")
 	flag.Parse()
+	if *top < 0 {
+		fmt.Fprintln(os.Stderr, "teadiff: -top must not be negative")
+		os.Exit(2)
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 0) {
+		fmt.Fprintln(os.Stderr, "teadiff: -scale must be a positive finite number")
+		os.Exit(2)
+	}
 
 	rc := analysis.DefaultRunConfig()
 	rc.Scale = *scale
 
 	var name string
+	var w workloads.Workload
 	var before, after *program.Program
 	switch *mode {
 	case "lbm-prefetch":
-		w, _ := workloads.ByName("lbm")
-		iters := int(float64(w.DefaultIters) * rc.Scale)
+		w, _ = workloads.ByName("lbm")
 		name = fmt.Sprintf("lbm: prefetch distance %d -> %d", *from, *dist)
-		before = workloads.LBM(iters, *from)
-		after = workloads.LBM(iters, *dist)
+		before = workloads.LBM(rc.Iters(w), *from)
+		after = workloads.LBM(rc.Iters(w), *dist)
 	case "nab-fastmath":
-		w, _ := workloads.ByName("nab")
-		iters := int(float64(w.DefaultIters) * rc.Scale)
+		w, _ = workloads.ByName("nab")
 		name = "nab: IEEE-compliant -> fast-math"
-		before = workloads.NAB(iters, false)
-		after = workloads.NAB(iters, true)
+		before = workloads.NAB(rc.Iters(w), false)
+		after = workloads.NAB(rc.Iters(w), true)
 	default:
 		fmt.Fprintf(os.Stderr, "teadiff: unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
 
-	w, _ := workloads.ByName("lbm") // workload descriptor only labels the run
 	brBefore := analysis.RunProgram(w, before, rc)
 	brAfter := analysis.RunProgram(w, after, rc)
 	speedup := float64(brBefore.Stats.Cycles) / float64(brAfter.Stats.Cycles)

@@ -31,6 +31,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 
@@ -53,6 +54,10 @@ func main() {
 	}
 	if *interval == 0 {
 		fmt.Fprintln(os.Stderr, "teaexp: -interval must be positive")
+		os.Exit(2)
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 0) {
+		fmt.Fprintln(os.Stderr, "teaexp: -scale must be a positive finite number")
 		os.Exit(2)
 	}
 

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"sort"
@@ -39,6 +40,14 @@ func main() {
 	flag.Parse()
 	if *interval == 0 {
 		fmt.Fprintln(os.Stderr, "teaprof: -interval must be positive")
+		os.Exit(2)
+	}
+	if *top < 0 {
+		fmt.Fprintln(os.Stderr, "teaprof: -top must not be negative")
+		os.Exit(2)
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 0) {
+		fmt.Fprintln(os.Stderr, "teaprof: -scale must be a positive finite number")
 		os.Exit(2)
 	}
 

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -45,6 +46,14 @@ func main() {
 	flag.Parse()
 	if *interval == 0 {
 		fmt.Fprintln(os.Stderr, "teatrace: -interval must be positive")
+		os.Exit(2)
+	}
+	if *top < 0 {
+		fmt.Fprintln(os.Stderr, "teatrace: -top must not be negative")
+		os.Exit(2)
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 0) {
+		fmt.Fprintln(os.Stderr, "teatrace: -scale must be a positive finite number")
 		os.Exit(2)
 	}
 

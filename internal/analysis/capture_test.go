@@ -252,6 +252,28 @@ func TestCaptureSharedAcrossSamplingKnobs(t *testing.T) {
 	}
 }
 
+// TestRunGridSharedKeyCapturesOnce: grid cells that share a capture key
+// run side by side on the worker pool and still share one simulation,
+// because the store's singleflight is the grid's only dedupe.
+func TestRunGridSharedKeyCapturesOnce(t *testing.T) {
+	rc := testRC()
+	w, p := testProgram(t, rc)
+	prev := SetTraceStore(NewTraceStore(DefaultStoreBudget, ""))
+	defer SetTraceStore(prev)
+
+	job := newCaptureJob(w, p, rc)
+	start := CaptureCount()
+	runs := runGrid(context.Background(), []captureJob{job, job, job, job}, []RunConfig{rc}, techniques)[0]
+	if got := CaptureCount() - start; got != 1 {
+		t.Fatalf("4 cells sharing one capture key performed %d captures; want 1", got)
+	}
+	for i, br := range runs[1:] {
+		if !bytes.Equal(renderJSON(t, br.TEA), renderJSON(t, runs[0].TEA)) {
+			t.Errorf("cell %d: TEA profile differs from cell 0's", i+1)
+		}
+	}
+}
+
 // TestCaptureCancellation covers the cancellation contract of the
 // cached capture path: a canceled capture surfaces as a typed
 // ErrCanceled, leaves no partial trace-store entry behind, and reserves

@@ -97,7 +97,7 @@ func TestSuiteReplayEquivalence(t *testing.T) {
 }
 
 // TestRunSuiteReplayEquivalence pins the grid path: RunSuite replays
-// each workload on one goroutine from the scheduler's shared captures,
+// each workload on one goroutine from the trace store's captures,
 // and every profile it produces must render byte-identically to live
 // attachment.
 func TestRunSuiteReplayEquivalence(t *testing.T) {
@@ -121,7 +121,7 @@ func TestRunSuiteReplayEquivalence(t *testing.T) {
 	}
 }
 
-// TestFrequencySweepSharedCaptureEquivalence pins the suite-scheduler
+// TestFrequencySweepSharedCaptureEquivalence pins the grid runner's
 // half of capture deduplication: FrequencySweep captures each workload
 // once and replays it per interval, and its results must be exactly —
 // float-for-float — what per-interval full re-simulation (live

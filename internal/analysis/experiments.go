@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -187,9 +186,9 @@ type FrequencyPoint struct {
 // knob — smaller intervals mean higher frequency.
 //
 // Sampling happens at replay time, so every sweep point shares one
-// capture per workload: the scheduler captures the suite once, then
-// fans (interval, workload) replays out from the shared bytes, each
-// under its own SweepConfig (per-interval jitter and derived seed).
+// capture per workload: each (interval, workload) cell of the grid
+// replays that capture under its own SweepConfig (per-interval jitter
+// and derived seed).
 //
 //tealint:ctxroot figure entry point invoked by the experiment CLIs, which have no context to thread
 func FrequencySweep(rc RunConfig, intervals []uint64) []FrequencyPoint {
@@ -197,7 +196,7 @@ func FrequencySweep(rc RunConfig, intervals []uint64) []FrequencyPoint {
 	for i, iv := range intervals {
 		rcs[i] = SweepConfig(rc, iv)
 	}
-	runs := runGrid(context.Background(), suiteJobs(rc), rcs)
+	runs := runGrid(context.Background(), suiteJobs(rc), rcs, techniques)
 	out := make([]FrequencyPoint, 0, len(intervals))
 	for i, iv := range intervals {
 		rows := AccuracyStudy(runs[i])
@@ -279,7 +278,7 @@ func PrefetchSweep(rc RunConfig, distances []int) []PrefetchPoint {
 	}
 	var base uint64
 	out := make([]PrefetchPoint, 0, len(distances))
-	for i, br := range runGrid(context.Background(), jobs, []RunConfig{rc})[0] {
+	for i, br := range runGrid(context.Background(), jobs, []RunConfig{rc}, techniques)[0] {
 		d := distances[i]
 		if d == 0 {
 			base = br.Stats.Cycles
@@ -337,13 +336,18 @@ type NABStudy struct {
 	FastMathSpeedup float64
 }
 
-// CaseStudyNAB computes Figure 12.
+// CaseStudyNAB computes Figure 12. The fast-math variant's cycles are
+// its capture's statistics.
+//
+//tealint:ctxroot figure entry point invoked by the experiment CLIs, which have no context to thread
 func CaseStudyNAB(rc RunConfig) NABStudy {
 	w, _ := workloads.ByName("nab")
 	iters := rc.iters(w)
 	br := RunProgram(w, workloads.NAB(iters, false), rc)
-	fast := cpu.New(rc.Core, workloads.NAB(iters, true))
-	fastStats := fast.Run()
+	_, fastStats, err := newCaptureJob(w, workloads.NAB(iters, true), rc).capture(context.Background())
+	if err != nil {
+		panic(asSimErr(err, w.Name))
+	}
 	return NABStudy{
 		PICS:            TopInstructionPICS(br, 5),
 		BaselineCycles:  br.Stats.Cycles,
@@ -473,17 +477,4 @@ func MeasureOverhead(rc RunConfig, benchmark string, sampleCost uint64) Overhead
 		PerfOverhead:     float64(loadedStats.Cycles)/float64(baseStats.Cycles) - 1,
 		SampleCostCycles: sampleCost,
 	}
-}
-
-// SortedSignatures returns a stack's signatures sorted by descending
-// cycles (deterministic rendering helper).
-func SortedSignatures(st pics.Stack) []events.PSV {
-	sigs := xiter.SortedKeys(st)
-	sort.Slice(sigs, func(i, j int) bool {
-		if st[sigs[i]] != st[sigs[j]] {
-			return st[sigs[i]] > st[sigs[j]]
-		}
-		return sigs[i] < sigs[j]
-	})
-	return sigs
 }

@@ -31,19 +31,18 @@ type DTEARow struct {
 //
 //tealint:ctxroot figure entry point invoked by the experiment CLIs, which have no context to thread
 func DispatchTaggedTEA(rc RunConfig) []DTEARow {
-	jobs := suiteJobs(rc)
-	profs := replayProfiles(context.Background(), jobs, func() []cpu.Probe {
-		return []cpu.Probe{techniqueByName("golden").probe(rc), techniqueByName("tea").probe(rc),
-			profilers.NewDTEA(rc.Interval, rc.Jitter, rc.Seed+5), techniqueByName("ibs").probe(rc)}
-	})
+	dtea := technique{name: "d-tea", probe: func(rc RunConfig) cpu.Probe {
+		return profilers.NewDTEA(rc.Interval, rc.Jitter, rc.Seed+5)
+	}}
+	sel := []technique{*techniqueByName("golden"), *techniqueByName("tea"), dtea, *techniqueByName("ibs")}
 	var rows []DTEARow
 	var sum DTEARow
-	for i, p := range profs {
+	for _, br := range runGrid(context.Background(), suiteJobs(rc), []RunConfig{rc}, sel)[0] {
 		row := DTEARow{
-			Benchmark: jobs[i].w.Name,
-			TEA:       pics.Error(p[1], p[0]),
-			DTEA:      pics.Error(p[2], p[0]),
-			IBS:       pics.Error(p[3], p[0]),
+			Benchmark: br.Workload.Name,
+			TEA:       pics.Error(br.TEA, br.Golden),
+			DTEA:      pics.Error(br.Profile(dtea.name), br.Golden),
+			IBS:       pics.Error(br.IBS, br.Golden),
 		}
 		rows = append(rows, row)
 		sum.TEA += row.TEA
@@ -92,19 +91,19 @@ func EventSetAblationStudy(rc RunConfig, benchmark string) ([]AblationRow, error
 		return nil, err
 	}
 	ladder := profilers.AblationLadder()
-	job := newCaptureJob(w, w.Build(rc.iters(w)), rc)
-	profs := replayProfiles(context.Background(), []captureJob{job}, func() []cpu.Probe {
-		probes := []cpu.Probe{techniqueByName("golden").probe(rc)}
-		for _, rung := range ladder {
+	sel := []technique{*techniqueByName("golden")}
+	for _, rung := range ladder {
+		sel = append(sel, technique{name: rung.Name, probe: func(rc RunConfig) cpu.Probe {
 			cfg := rc.teaConfig()
 			cfg.Set = rung.Set
-			probes = append(probes, core.NewTEA(nil, cfg))
-		}
-		return probes
-	})[0]
-	golden, rungs := profs[0], profs[1:]
-	rows := make([]AblationRow, len(rungs))
-	for i, prof := range rungs {
+			return core.NewTEA(nil, cfg)
+		}})
+	}
+	job := newCaptureJob(w, w.Build(rc.iters(w)), rc)
+	br := runGrid(context.Background(), []captureJob{job}, []RunConfig{rc}, sel)[0][0]
+	rows := make([]AblationRow, len(ladder))
+	for i, rung := range ladder {
+		prof := br.Profile(rung.Name)
 		comps := map[events.PSV]bool{}
 		for _, pc := range xiter.SortedKeys(prof.Insts) {
 			for _, sig := range xiter.SortedKeys(prof.Insts[pc]) {
@@ -112,9 +111,9 @@ func EventSetAblationStudy(rc RunConfig, benchmark string) ([]AblationRow, error
 			}
 		}
 		rows[i] = AblationRow{
-			Rung:       ladder[i].Name,
-			Bits:       ladder[i].Set.Bits(),
-			Error:      pics.Error(prof, golden),
+			Rung:       rung.Name,
+			Bits:       rung.Set.Bits(),
+			Error:      pics.Error(prof, br.Golden),
 			Components: len(comps),
 		}
 	}

@@ -6,8 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/profilers"
+	"repro/internal/program"
 	"repro/internal/simerr"
+	"repro/internal/system"
 	"repro/internal/workloads"
 )
 
@@ -173,6 +176,30 @@ func TestMulticoreStudy(t *testing.T) {
 		if e > 0.2 {
 			t.Errorf("core %d TEA error %.3f under contention, want small", i, e)
 		}
+	}
+}
+
+// TestSoloSystemMatchesReplay pins the equivalence Multicore's solo run
+// rests on: a one-core system is the machine cpu.New builds (a private
+// LLC and DRAM under the same Step loop), so its live golden profile
+// and cycle count equal the replay of the program's capture.
+func TestSoloSystemMatchesReplay(t *testing.T) {
+	rc := testConfig()
+	w, err := workloads.ByName("fotonik3d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Build(rc.iters(w))
+	sys := system.New(rc.Core, []*program.Program{p})
+	golden := core.NewGolden(sys.Core(0))
+	sys.Core(0).Attach(golden)
+	stats := sys.Run()
+	br := RunProgram(w, p, rc)
+	if stats[0].Cycles != br.Stats.Cycles {
+		t.Errorf("one-core system ran %d cycles, replay %d", stats[0].Cycles, br.Stats.Cycles)
+	}
+	if !bytes.Equal(renderJSON(t, golden.Profile()), renderJSON(t, br.Golden)) {
+		t.Error("one-core system's golden profile differs from the replay's")
 	}
 }
 

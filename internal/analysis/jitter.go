@@ -25,20 +25,18 @@ type JitterRow struct {
 //
 //tealint:ctxroot figure entry point invoked by the experiment CLIs, which have no context to thread
 func JitterAblation(rc RunConfig) []JitterRow {
-	fixed := rc
-	fixed.Jitter = 0
-	jobs := suiteJobs(rc)
-	profs := replayProfiles(context.Background(), jobs, func() []cpu.Probe {
-		return []cpu.Probe{techniqueByName("golden").probe(rc), techniqueByName("tea").probe(rc),
-			techniqueByName("tea").probe(fixed)}
-	})
+	fixed := technique{name: "tea-fixed", probe: func(rc RunConfig) cpu.Probe {
+		rc.Jitter = 0
+		return techniqueByName("tea").probe(rc)
+	}}
+	sel := []technique{*techniqueByName("golden"), *techniqueByName("tea"), fixed}
 	var rows []JitterRow
 	var sumJ, sumN float64
-	for i, p := range profs {
+	for _, br := range runGrid(context.Background(), suiteJobs(rc), []RunConfig{rc}, sel)[0] {
 		row := JitterRow{
-			Benchmark:     jobs[i].w.Name,
-			WithJitter:    pics.Error(p[1], p[0]),
-			WithoutJitter: pics.Error(p[2], p[0]),
+			Benchmark:     br.Workload.Name,
+			WithJitter:    pics.Error(br.TEA, br.Golden),
+			WithoutJitter: pics.Error(br.Profile(fixed.name), br.Golden),
 		}
 		sumJ += row.WithJitter
 		sumN += row.WithoutJitter

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -35,7 +36,12 @@ type MulticoreStudy struct {
 }
 
 // Multicore runs the victim benchmark alone and next to the antagonist
-// on a two-core system with a shared LLC and DRAM.
+// on a two-core system with a shared LLC and DRAM. Alone, the victim
+// has the LLC and DRAM to itself, the machine its capture ran on, so
+// the solo run is a golden replay of that capture; only the paired run
+// simulates live.
+//
+//tealint:ctxroot figure entry point invoked by the experiment CLIs, which have no context to thread
 func Multicore(rc RunConfig, victim, antagonist string) (MulticoreStudy, error) {
 	vw, err := workloads.ByName(victim)
 	if err != nil {
@@ -57,15 +63,13 @@ func Multicore(rc RunConfig, victim, antagonist string) (MulticoreStudy, error) 
 		return tea, g
 	}
 
-	solo := system.New(rc.Core, []*program.Program{vw.Build(rc.iters(vw))})
-	_, gSolo := attach(solo, 0, rc.Seed)
-	soloStats := solo.Run()
-	st.SoloCycles = soloStats[0].Cycles
-	st.SoloMemShare = memShare(gSolo.Profile())
+	vp := vw.Build(rc.iters(vw))
+	solo := runGrid(context.Background(), []captureJob{newCaptureJob(vw, vp, rc)},
+		[]RunConfig{rc}, []technique{*techniqueByName("golden")})[0][0]
+	st.SoloCycles = solo.Stats.Cycles
+	st.SoloMemShare = memShare(solo.Golden)
 
-	pair := system.New(rc.Core, []*program.Program{
-		vw.Build(rc.iters(vw)), aw.Build(rc.iters(aw)),
-	})
+	pair := system.New(rc.Core, []*program.Program{vp, aw.Build(rc.iters(aw))})
 	teaV, gV := attach(pair, 0, rc.Seed)
 	teaA, gA := attach(pair, 1, rc.Seed+1)
 	pairStats := pair.Run()

@@ -84,25 +84,21 @@ func RenderFig6(w io.Writer, tp TopPICS) {
 			dis = in.String()
 		}
 		fmt.Fprintf(w, "\n#%d  %#08x  %s  [%s]\n", rank+1, pc, dis, tp.Run.Program.FuncOfPC(pc))
-		fmt.Fprintf(w, "  GR : height %6.2f%%\n%s", 100*stackTotal(tp.Golden.Insts[pc])/total,
+		fmt.Fprintf(w, "  GR : height %6.2f%%\n%s", 100*tp.Golden.Insts[pc].Total()/total,
 			renderStack(tp.Golden.Insts[pc], total))
-		fmt.Fprintf(w, "  TEA: height %6.2f%%\n%s", 100*stackTotal(tp.TEA.Insts[pc])/total,
+		fmt.Fprintf(w, "  TEA: height %6.2f%%\n%s", 100*tp.TEA.Insts[pc].Total()/total,
 			renderStack(tp.TEA.Insts[pc], total))
-		fmt.Fprintf(w, "  IBS: height %6.2f%%\n%s", 100*stackTotal(tp.IBS.Insts[pc])/total,
+		fmt.Fprintf(w, "  IBS: height %6.2f%%\n%s", 100*tp.IBS.Insts[pc].Total()/total,
 			renderStack(tp.IBS.Insts[pc], total))
 	}
 }
 
-func stackTotal(st map[events.PSV]float64) float64 {
-	return pics.Stack(st).Total()
-}
-
-func renderStack(st map[events.PSV]float64, total float64) string {
+func renderStack(st pics.Stack, total float64) string {
 	if st == nil {
 		return "       (no samples)\n"
 	}
 	out := ""
-	for _, sig := range SortedSignatures(st) {
+	for _, sig := range st.SortedSignatures() {
 		v := st[sig]
 		if v/total < 0.0005 {
 			continue

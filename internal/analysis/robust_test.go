@@ -83,7 +83,7 @@ func checkContained(t *testing.T, w workloads.Workload, p *program.Program, rc R
 		}
 	}
 	for _, tech := range sel {
-		if tech.profile != nil && !bytes.Equal(renderJSON(t, br.Profile(tech.name)), renderJSON(t, clean.Profile(tech.name))) {
+		if tech.stats == nil && !bytes.Equal(renderJSON(t, br.Profile(tech.name)), renderJSON(t, clean.Profile(tech.name))) {
 			t.Errorf("%s profile differs from the clean run", tech.name)
 		}
 	}
@@ -132,6 +132,27 @@ func TestPanickingProbeContained(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRunGridNamesPanickingTechnique: a technique that panics in a grid
+// cell fails the grid with a typed error naming that technique and the
+// cell's workload, whether the technique is the registry's or a
+// study's own.
+func TestRunGridNamesPanickingTechnique(t *testing.T) {
+	w := robustWorkload(t)
+	rc := testConfig()
+	rc.Scale = 0.05
+	jobs := []captureJob{newCaptureJob(w, w.Build(rc.iters(w)), rc)}
+	sel := []technique{*techniqueByName("golden"), chaosTechnique("chaos-probe", "OnCommit")}
+	defer func() {
+		v := recover()
+		se, ok := v.(*simerr.Error)
+		if !ok || se.Kind != simerr.ErrInternal || se.Snap.Technique != "chaos-probe" || se.Snap.Workload != w.Name {
+			t.Fatalf("recovered %T (%v), want an ErrInternal naming chaos-probe on %s", v, v, w.Name)
+		}
+	}()
+	runGrid(context.Background(), jobs, []RunConfig{rc}, sel)
+	t.Fatal("runGrid should have panicked")
 }
 
 // TestCancellationDeterminism pins the no-partial-profile contract:

@@ -103,6 +103,10 @@ type BenchRun struct {
 	// the remaining techniques are complete and trustworthy. The
 	// fault-free path always leaves the map empty.
 	Errors map[string]error
+
+	// profiles holds every selected profiling technique's profile by
+	// technique name; the typed fields above repeat the registry's.
+	profiles map[string]*pics.Profile
 }
 
 // Techniques returns the sampled techniques' profiles in evaluation
@@ -111,32 +115,26 @@ func (br *BenchRun) Techniques() []*pics.Profile {
 	return []*pics.Profile{br.IBS, br.SPE, br.RIS, br.NCITEA, br.TEA}
 }
 
-// Profile returns the named technique's profile ("golden", "tea",
-// "nci-tea", "ibs", "spe", "ris"), or nil when the run did not produce
-// it: the technique was not run, failed, or yields no profile.
-func (br *BenchRun) Profile(name string) *pics.Profile {
-	t := techniqueByName(name)
-	if t == nil || t.profile == nil {
-		return nil
-	}
-	return *t.profile(br)
-}
+// Profile returns the named technique's profile — a registry name
+// ("golden", "tea", "nci-tea", "ibs", "spe", "ris") or a study's own
+// technique — or nil when the run did not produce it: the technique
+// was not run, failed, or yields no profile.
+func (br *BenchRun) Profile(name string) *pics.Profile { return br.profiles[name] }
 
 // RunBenchmark simulates one workload with every technique attached.
 func RunBenchmark(w workloads.Workload, rc RunConfig) *BenchRun {
 	return RunProgram(w, w.Build(rc.iters(w)), rc)
 }
 
-// technique is one entry of the technique registry: a named probe, how
-// to build it for a run, and where its result lands in a BenchRun.
+// technique is a named probe and how to build it for a run: an entry
+// of the registry below, or a study's own probe (D-TEA, a fixed-period
+// TEA, an event-set rung) replayed alongside registry entries.
 type technique struct {
 	name string
 	// probe builds the technique's probe for replay under rc.
 	probe func(rc RunConfig) cpu.Probe
-	// profile locates the BenchRun field a profiling technique's PICS
-	// profile lands in; nil for the statistics probes.
-	profile func(br *BenchRun) **pics.Profile
-	// stats stores a statistics probe in its BenchRun field.
+	// stats stores a statistics probe in its BenchRun field; nil for a
+	// profiling technique, whose PICS profile BenchRun.Profile returns.
 	stats func(br *BenchRun, pr cpu.Probe)
 }
 
@@ -151,23 +149,17 @@ type profiler interface {
 // whether they replay together or alone.
 var techniques = []technique{
 	{name: "golden",
-		probe:   func(RunConfig) cpu.Probe { return core.NewGolden(nil) },
-		profile: func(br *BenchRun) **pics.Profile { return &br.Golden }},
+		probe: func(RunConfig) cpu.Probe { return core.NewGolden(nil) }},
 	{name: "tea",
-		probe:   func(rc RunConfig) cpu.Probe { return core.NewTEA(nil, rc.teaConfig()) },
-		profile: func(br *BenchRun) **pics.Profile { return &br.TEA }},
+		probe: func(rc RunConfig) cpu.Probe { return core.NewTEA(nil, rc.teaConfig()) }},
 	{name: "nci-tea",
-		probe:   func(rc RunConfig) cpu.Probe { return profilers.NewNCITEA(rc.Interval, rc.Jitter, rc.Seed+1) },
-		profile: func(br *BenchRun) **pics.Profile { return &br.NCITEA }},
+		probe: func(rc RunConfig) cpu.Probe { return profilers.NewNCITEA(rc.Interval, rc.Jitter, rc.Seed+1) }},
 	{name: "ibs",
-		probe:   func(rc RunConfig) cpu.Probe { return profilers.NewIBS(rc.Interval, rc.Jitter, rc.Seed+2) },
-		profile: func(br *BenchRun) **pics.Profile { return &br.IBS }},
+		probe: func(rc RunConfig) cpu.Probe { return profilers.NewIBS(rc.Interval, rc.Jitter, rc.Seed+2) }},
 	{name: "spe",
-		probe:   func(rc RunConfig) cpu.Probe { return profilers.NewSPE(rc.Interval, rc.Jitter, rc.Seed+3) },
-		profile: func(br *BenchRun) **pics.Profile { return &br.SPE }},
+		probe: func(rc RunConfig) cpu.Probe { return profilers.NewSPE(rc.Interval, rc.Jitter, rc.Seed+3) }},
 	{name: "ris",
-		probe:   func(rc RunConfig) cpu.Probe { return profilers.NewRIS(rc.Interval, rc.Jitter, rc.Seed+4) },
-		profile: func(br *BenchRun) **pics.Profile { return &br.RIS }},
+		probe: func(rc RunConfig) cpu.Probe { return profilers.NewRIS(rc.Interval, rc.Jitter, rc.Seed+4) }},
 	{name: "counters",
 		probe: func(RunConfig) cpu.Probe { return profilers.NewCounters() },
 		stats: func(br *BenchRun, pr cpu.Probe) { br.Counters = pr.(*profilers.Counters) }},
@@ -194,7 +186,7 @@ func techniqueByName(name string) *technique {
 func ProfileTechniques() []string {
 	var names []string
 	for _, t := range techniques {
-		if t.profile != nil {
+		if t.stats == nil {
 			names = append(names, t.name)
 		}
 	}
@@ -228,16 +220,19 @@ func selectTechniques(names []string) ([]technique, error) {
 // attribution is complete (accumulators materialize lazily), skipping
 // any technique recorded in br.Errors.
 func (br *BenchRun) land(sel []technique, probes []cpu.Probe) {
+	br.profiles = make(map[string]*pics.Profile, len(sel))
 	for i, t := range sel {
 		if _, failed := br.Errors[t.name]; failed {
 			continue
 		}
-		if t.profile != nil {
-			*t.profile(br) = probes[i].(profiler).Profile()
-		} else {
+		if t.stats != nil {
 			t.stats(br, probes[i])
+		} else {
+			br.profiles[t.name] = probes[i].(profiler).Profile()
 		}
 	}
+	br.Golden, br.TEA, br.NCITEA = br.profiles["golden"], br.profiles["tea"], br.profiles["nci-tea"]
+	br.IBS, br.SPE, br.RIS = br.profiles["ibs"], br.profiles["spe"], br.profiles["ris"]
 }
 
 // CaptureTrace runs the core exactly once with only the trace-capture
@@ -396,7 +391,7 @@ func (j captureJob) run(ctx context.Context, rc RunConfig, sel []technique) (br 
 //tealint:ctxroot crash-loudly harness entry point with no caller context; cancellable callers use RunProgramContext
 func RunProgram(w workloads.Workload, p *program.Program, rc RunConfig) *BenchRun {
 	br, err := RunProgramContext(context.Background(), w, p, rc)
-	if se := runFailure(br, err, w.Name); se != nil {
+	if se := runFailure(br, err, w.Name, techniques); se != nil {
 		panic(se)
 	}
 	return br
@@ -404,12 +399,12 @@ func RunProgram(w workloads.Workload, p *program.Program, rc RunConfig) *BenchRu
 
 // runFailure is the crash-loudly check of RunProgram and the grid
 // runner: the run's own error, else the first failed technique's in
-// registry order, else nil.
-func runFailure(br *BenchRun, err error, workload string) *simerr.Error {
+// sel's order, else nil.
+func runFailure(br *BenchRun, err error, workload string, sel []technique) *simerr.Error {
 	if err != nil {
 		return asSimErr(err, workload)
 	}
-	for _, t := range techniques {
+	for _, t := range sel {
 		if terr := br.Errors[t.name]; terr != nil {
 			return asSimErr(terr, workload)
 		}
@@ -427,14 +422,13 @@ func asSimErr(err error, workload string) *simerr.Error {
 	return simerr.Wrap(simerr.ErrInternal, simerr.Snapshot{Workload: workload}, err, "run failed")
 }
 
-// RunSuite runs the whole benchmark suite in two scheduled phases:
-// every distinct capture first (parallel across workloads, deduplicated
-// through the trace store), then every replay from the shared bytes,
-// one workload per goroutine. Each simulation is single-threaded and
-// seeded, so results are identical to a serial run — and to a run that
-// hit the cache.
+// RunSuite runs the whole benchmark suite on the grid runner, one
+// workload per cell: each cell captures its workload (or finds the
+// capture in the trace store) and replays it to every technique. Each
+// simulation is single-threaded and seeded, so results are identical to
+// a serial run — and to a run that hit the cache.
 //
 //tealint:ctxroot suite entry point invoked by the experiment CLIs, which have no context to thread
 func RunSuite(rc RunConfig) []*BenchRun {
-	return runGrid(context.Background(), suiteJobs(rc), []RunConfig{rc})[0]
+	return runGrid(context.Background(), suiteJobs(rc), []RunConfig{rc}, techniques)[0]
 }

@@ -1,10 +1,10 @@
-// Suite scheduling: the experiments above this layer ask for whole
-// grids of (workload, configuration) runs — Figure 5/6/7/9 share one
-// suite pass, Figure 8 sweeps the sampling interval across the suite.
-// The scheduler enumerates every capture such a grid needs, collapses
-// duplicates by cache key, performs each distinct capture exactly once
-// (in parallel across workloads), and then fans the cheap replays out
-// from the shared bytes. Captures are interval-independent (sampling
+// Grid running: the experiments above this layer ask for whole grids
+// of (workload, configuration) runs — Figure 5/6/7/9 share one suite
+// pass, Figure 8 sweeps the sampling interval across the suite, and the
+// probe-only studies replay the suite to their own techniques. Every
+// cell takes its capture from the trace store, which simulates each
+// (program, core) key once however many cells ask for it, and replays
+// it on one goroutine. Captures are interval-independent (sampling
 // happens at replay), so an N-point frequency sweep costs one capture
 // per workload plus N replays instead of N full suite simulations.
 package analysis
@@ -14,8 +14,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/cpu"
-	"repro/internal/pics"
 	"repro/internal/program"
 	"repro/internal/simerr"
 	"repro/internal/tracestore"
@@ -24,8 +22,7 @@ import (
 
 // captureJob is one (workload, program, config) cell of an experiment
 // grid, keyed once: hashing a program's full contents costs about a
-// millisecond, and a grid needs the key for the dedupe, the capture
-// and every replay's store lookup.
+// millisecond, and a grid needs the key for every cell's store lookup.
 type captureJob struct {
 	w   workloads.Workload
 	p   *program.Program
@@ -47,47 +44,14 @@ func suiteJobs(rc RunConfig) []captureJob {
 	return jobs
 }
 
-// scheduleCaptures captures each distinct (program, core) pair of the
-// grid exactly once, in parallel across the available CPUs. Jobs that
-// share a capture key — identical programs, or configs differing only
-// in sampling knobs — are collapsed before any simulation starts, so
-// parallelism is spent on distinct work (the per-key singleflight in
-// the store is only a backstop for concurrent unrelated callers).
-// After it returns, every job's capture is in the store and replays
-// are pure cache hits.
-func scheduleCaptures(ctx context.Context, jobs []captureJob) error {
-	seen := make(map[tracestore.Key]bool, len(jobs))
-	distinct := make([]captureJob, 0, len(jobs))
-	for _, j := range jobs {
-		if !seen[j.key] {
-			seen[j.key] = true
-			distinct = append(distinct, j)
-		}
-	}
-	errs := make([]error, len(distinct))
-	forEach(len(distinct), func(i int) {
-		_, _, errs[i] = distinct[i].capture(ctx)
-	})
-	// Deterministic error selection: the first failing job in grid
-	// order, regardless of which goroutine hit it.
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runGrid is the grid runner of RunSuite, FrequencySweep and
-// PrefetchSweep: it schedules the jobs' captures, then replays every
-// job under every config in rcs, GOMAXPROCS cells at a time, returning
-// the runs indexed [config][job]. A grid figure needs every cell, so
-// any failure — a capture, a stream, or a single technique — panics
-// with the first failing cell's typed error in grid order.
-func runGrid(ctx context.Context, jobs []captureJob, rcs []RunConfig) [][]*BenchRun {
-	if err := scheduleCaptures(ctx, jobs); err != nil {
-		panic(asSimErr(err, ""))
-	}
+// runGrid is the one grid runner: it replays every job under every
+// config in rcs to the techniques in sel, GOMAXPROCS cells at a time,
+// and returns the runs indexed [config][job]. Each cell captures its
+// job on a store miss; cells sharing a capture key share one
+// simulation. A grid figure needs every cell, so any failure — a
+// capture, a stream, or a single technique — panics with the first
+// failing cell's typed error in grid order.
+func runGrid(ctx context.Context, jobs []captureJob, rcs []RunConfig, sel []technique) [][]*BenchRun {
 	runs := make([][]*BenchRun, len(rcs))
 	for c := range rcs {
 		runs[c] = make([]*BenchRun, len(jobs))
@@ -95,8 +59,8 @@ func runGrid(ctx context.Context, jobs []captureJob, rcs []RunConfig) [][]*Bench
 	fails := make([]*simerr.Error, len(rcs)*len(jobs))
 	forEach(len(fails), func(i int) {
 		c, j := i/len(jobs), i%len(jobs)
-		br, err := jobs[j].run(ctx, rcs[c], techniques)
-		runs[c][j], fails[i] = br, runFailure(br, err, jobs[j].w.Name)
+		br, err := jobs[j].run(ctx, rcs[c], sel)
+		runs[c][j], fails[i] = br, runFailure(br, err, jobs[j].w.Name, sel)
 	})
 	for _, se := range fails {
 		if se != nil {
@@ -104,48 +68,6 @@ func runGrid(ctx context.Context, jobs []captureJob, rcs []RunConfig) [][]*Bench
 		}
 	}
 	return runs
-}
-
-// replayProfiles is the grid runner of the studies that build their
-// own probes: it replays each job's capture, simulating only on a store
-// miss, to the probes build returns, and returns each job's profiles in
-// probe order. Like runGrid, it panics with the first failing job's
-// typed error once every job has returned.
-func replayProfiles(ctx context.Context, jobs []captureJob, build func() []cpu.Probe) [][]*pics.Profile {
-	profs := make([][]*pics.Profile, len(jobs))
-	errs := make([]error, len(jobs))
-	forEach(len(jobs), func(i int) {
-		profs[i], errs[i] = jobs[i].profiles(ctx, build)
-	})
-	for i, err := range errs {
-		if err != nil {
-			panic(asSimErr(err, jobs[i].w.Name))
-		}
-	}
-	return profs
-}
-
-// profiles replays j's capture to the probes build returns. It builds
-// them inside its recover scope, so an invalid configuration's panic
-// comes back typed instead of unwinding a worker goroutine.
-func (j captureJob) profiles(ctx context.Context, build func() []cpu.Probe) (profs []*pics.Profile, err error) {
-	defer simerr.Recover(&err, simerr.Snapshot{Workload: j.w.Name, Program: j.p.Name})
-	probes := build()
-	data, _, err := j.capture(ctx)
-	if err != nil {
-		return nil, err
-	}
-	perr, err := replayContained(ctx, data, simerr.Snapshot{Workload: j.w.Name}, probes...)
-	if perr != nil {
-		return nil, perr
-	}
-	if err != nil {
-		return nil, err
-	}
-	for _, pr := range probes {
-		profs = append(profs, pr.(profiler).Profile())
-	}
-	return profs, nil
 }
 
 // forEach calls fn(0) … fn(n-1) on min(GOMAXPROCS, n) goroutines and

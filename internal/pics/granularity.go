@@ -2,10 +2,8 @@ package pics
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
-	"repro/internal/events"
 	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/xiter"
@@ -56,7 +54,7 @@ func (s Stack) RenderBars(total float64, width int) string {
 		width = 60
 	}
 	var b strings.Builder
-	for _, sig := range sortedSigs(s) {
+	for _, sig := range s.SortedSignatures() {
 		v := s[sig]
 		frac := 0.0
 		if total > 0 {
@@ -67,30 +65,7 @@ func (s Stack) RenderBars(total float64, width int) string {
 			n = 1
 		}
 		fmt.Fprintf(&b, "    %-24s |%-*s| %5.2f%%\n",
-			sig.String(), width, strings.Repeat("#", minInt(n, width)), 100*frac)
+			sig.String(), width, strings.Repeat("#", min(n, width)), 100*frac)
 	}
 	return b.String()
-}
-
-// sortedSigs orders a stack's signatures by descending cycles, with
-// the signature value itself as the tie-break.
-func sortedSigs(s Stack) []events.PSV {
-	sigs := xiter.SortedKeys(s)
-	slices.SortStableFunc(sigs, func(a, b events.PSV) int {
-		switch {
-		case s[a] > s[b]:
-			return -1
-		case s[a] < s[b]:
-			return 1
-		}
-		return 0
-	})
-	return sigs
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -43,7 +43,7 @@ func (p *Profile) WriteJSON(w io.Writer) error {
 	for _, pc := range p.TopInstructions(len(p.Insts)) {
 		st := p.Insts[pc]
 		ji := jsonInst{PC: pc, Height: st.Total()}
-		for _, sig := range sortedSigs(st) {
+		for _, sig := range st.SortedSignatures() {
 			jc := jsonComponent{Signature: sig.String(), Cycles: st[sig]}
 			for _, e := range sig.Events() {
 				jc.Events = append(jc.Events, e.String())

@@ -10,6 +10,7 @@ package pics
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -34,6 +35,23 @@ func (s Stack) Total() float64 {
 
 // Add accumulates w cycles into the signature's component.
 func (s Stack) Add(sig events.PSV, w float64) { s[sig] += w }
+
+// SortedSignatures returns the stack's signatures by descending cycles,
+// with the signature value itself as the tie-break: the one component
+// order every renderer and the JSON writer use.
+func (s Stack) SortedSignatures() []events.PSV {
+	sigs := xiter.SortedKeys(s)
+	slices.SortStableFunc(sigs, func(a, b events.PSV) int {
+		switch {
+		case s[a] > s[b]:
+			return -1
+		case s[a] < s[b]:
+			return 1
+		}
+		return 0
+	})
+	return sigs
+}
 
 // Clone returns a deep copy.
 func (s Stack) Clone() Stack {
@@ -264,27 +282,13 @@ func errorBetween[K cmp.Ordered](test, golden map[K]Stack, total float64) float6
 // Render returns a human-readable listing of the stack's components,
 // largest first, as fractions of the reference total.
 func (s Stack) Render(total float64) string {
-	type comp struct {
-		sig events.PSV
-		v   float64
-	}
-	comps := make([]comp, 0, len(s))
-	for _, sig := range xiter.SortedKeys(s) {
-		comps = append(comps, comp{sig, s[sig]})
-	}
-	sort.Slice(comps, func(i, j int) bool {
-		if comps[i].v != comps[j].v {
-			return comps[i].v > comps[j].v
-		}
-		return comps[i].sig < comps[j].sig
-	})
 	var b strings.Builder
-	for _, c := range comps {
+	for _, sig := range s.SortedSignatures() {
 		pct := 0.0
 		if total > 0 {
-			pct = 100 * c.v / total
+			pct = 100 * s[sig] / total
 		}
-		fmt.Fprintf(&b, "    %-24s %12.0f cycles  %5.2f%%\n", c.sig.String(), c.v, pct)
+		fmt.Fprintf(&b, "    %-24s %12.0f cycles  %5.2f%%\n", sig.String(), s[sig], pct)
 	}
 	return b.String()
 }

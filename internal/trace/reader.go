@@ -83,8 +83,8 @@ type tok struct {
 // and literal-column scratch, the materialized per-record arrays that
 // double as the pattern table for match copies, the sliding window of
 // in-flight instructions, and the CycleInfo delivered to probes. The
-// suite scheduler replays each shared capture many times (per figure,
-// per sweep interval, per probe group), so recycling this state keeps
+// grid runner replays each shared capture many times (per figure, per
+// sweep interval, per study), so recycling this state keeps
 // the replay loop allocation-free across replays, not just within one.
 type decodeState struct {
 	toks []tok

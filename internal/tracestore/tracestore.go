@@ -82,7 +82,7 @@ type Stats struct {
 }
 
 // Store is the two-tier content-addressed cache. All methods are safe
-// for concurrent use; the suite scheduler captures workloads in
+// for concurrent use; the experiment grid runner captures workloads in
 // parallel against one shared store.
 type Store struct {
 	mu       sync.Mutex

@@ -54,16 +54,19 @@ go build -o bin/teachaos ./cmd/teachaos
 ./bin/teachaos -disk
 
 # CLI smoke: every teaexp experiment at a small scale, Figure 8 at an
-# interval whose sweep reaches below one cycle, a teatrace
-# record/replay/stats round trip, and usage errors — a zero -interval,
-# an unknown -tech — rejected by each CLI with exit 2 and a one-line
-# message, before any work. A Go panic also exits 2, so stderr must not
-# carry one.
+# interval whose sweep reaches below one cycle, both teadiff modes, a
+# teatrace record/replay/stats round trip, and usage errors — a zero
+# -interval, an unknown -tech, a negative -top, a -scale that is not a
+# positive finite number — rejected by each CLI with exit 2 and a
+# one-line message, before any work. A Go panic also exits 2, so stderr
+# must not carry one.
 clidir=$(mktemp -d)
 trap 'rm -rf "$clidir"' EXIT
-go build -o "$clidir/" ./cmd/teaexp ./cmd/teaprof ./cmd/teatrace
+go build -o "$clidir/" ./cmd/teaexp ./cmd/teaprof ./cmd/teatrace ./cmd/teadiff
 "$clidir/teaexp" -scale 0.05 all >/dev/null
 "$clidir/teaexp" -scale 0.05 -interval 3 fig8 >/dev/null
+"$clidir/teadiff" -mode lbm-prefetch -scale 0.05 >/dev/null
+"$clidir/teadiff" -mode nab-fastmath -scale 0.05 >/dev/null
 "$clidir/teatrace" -record "$clidir/bwaves.trace" -bench bwaves -scale 0.05
 "$clidir/teatrace" -replay "$clidir/bwaves.trace" >/dev/null
 "$clidir/teatrace" -stats "$clidir/bwaves.trace" >/dev/null
@@ -79,6 +82,13 @@ rejects_usage "$clidir/teaprof" -interval 0
 rejects_usage "$clidir/teatrace" -interval 0 -replay "$clidir/bwaves.trace"
 rejects_usage "$clidir/teaprof" -tech nope
 rejects_usage "$clidir/teatrace" -replay "$clidir/bwaves.trace" -tech nope
+rejects_usage "$clidir/teaprof" -top -1
+rejects_usage "$clidir/teatrace" -replay "$clidir/bwaves.trace" -top -2
+rejects_usage "$clidir/teadiff" -top -1
+rejects_usage "$clidir/teaexp" -scale 0 fig5
+rejects_usage "$clidir/teaprof" -scale Inf
+rejects_usage "$clidir/teatrace" -record "$clidir/nan.trace" -scale NaN
+rejects_usage "$clidir/teadiff" -scale -1
 
 # End-to-end benchmark smoke: bench/ is its own module, out of reach of
 # `go build ./...`; its smoke test keeps it compiling and running.
