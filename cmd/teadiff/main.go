@@ -31,19 +31,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "teadiff: -top must not be negative")
 		os.Exit(2)
 	}
-	if !(*scale > 0) || math.IsInf(*scale, 0) {
-		fmt.Fprintln(os.Stderr, "teadiff: -scale must be a positive finite number")
-		os.Exit(2)
-	}
-
 	rc := analysis.DefaultRunConfig()
 	rc.Scale = *scale
+	if err := rc.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "teadiff:", err)
+		os.Exit(2)
+	}
 
 	var name string
 	var w workloads.Workload
 	var before, after *program.Program
 	switch *mode {
 	case "lbm-prefetch":
+		for _, d := range []int{*from, *dist} {
+			if err := workloads.CheckPrefetchDist(d); err != nil {
+				fmt.Fprintln(os.Stderr, "teadiff:", err)
+				os.Exit(2)
+			}
+		}
 		w, _ = workloads.ByName("lbm")
 		name = fmt.Sprintf("lbm: prefetch distance %d -> %d", *from, *dist)
 		before = workloads.LBM(rc.Iters(w), *from)

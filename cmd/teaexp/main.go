@@ -31,7 +31,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"slices"
 
@@ -52,19 +51,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: teaexp [-scale f] [-interval n] <experiment-id|all>")
 		os.Exit(2)
 	}
-	if *interval == 0 {
-		fmt.Fprintln(os.Stderr, "teaexp: -interval must be positive")
-		os.Exit(2)
-	}
-	if !(*scale > 0) || math.IsInf(*scale, 0) {
-		fmt.Fprintln(os.Stderr, "teaexp: -scale must be a positive finite number")
-		os.Exit(2)
-	}
 
 	rc := analysis.DefaultRunConfig()
 	rc.Scale = *scale
 	rc.Interval = *interval
 	rc.Jitter = *interval / 16
+	if err := rc.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "teaexp:", err)
+		os.Exit(2)
+	}
 	if *tracecache != "" {
 		analysis.SetTraceStore(analysis.NewTraceStore(analysis.DefaultStoreBudget, *tracecache))
 	}

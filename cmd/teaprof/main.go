@@ -13,7 +13,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"slices"
 	"sort"
@@ -38,16 +37,17 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
-	if *interval == 0 {
-		fmt.Fprintln(os.Stderr, "teaprof: -interval must be positive")
-		os.Exit(2)
-	}
 	if *top < 0 {
 		fmt.Fprintln(os.Stderr, "teaprof: -top must not be negative")
 		os.Exit(2)
 	}
-	if !(*scale > 0) || math.IsInf(*scale, 0) {
-		fmt.Fprintln(os.Stderr, "teaprof: -scale must be a positive finite number")
+	rc := analysis.DefaultRunConfig()
+	rc.Scale = *scale
+	rc.Interval = *interval
+	rc.Jitter = *interval / 16
+	rc.Seed = *seed
+	if err := rc.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "teaprof:", err)
 		os.Exit(2)
 	}
 
@@ -62,11 +62,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "teaprof:", err)
 		os.Exit(1)
 	}
-	rc := analysis.DefaultRunConfig()
-	rc.Scale = *scale
-	rc.Interval = *interval
-	rc.Jitter = *interval / 16
-	rc.Seed = *seed
 
 	// Only golden, which the error and the cycle shares read, and the
 	// requested technique are replayed.

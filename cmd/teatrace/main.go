@@ -21,7 +21,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"slices"
 	"strings"
@@ -44,22 +43,22 @@ func main() {
 	scale := flag.Float64("scale", 0.5, "workload size multiplier")
 	asJSON := flag.Bool("json", false, "emit -stats output as JSON")
 	flag.Parse()
-	if *interval == 0 {
-		fmt.Fprintln(os.Stderr, "teatrace: -interval must be positive")
-		os.Exit(2)
-	}
 	if *top < 0 {
 		fmt.Fprintln(os.Stderr, "teatrace: -top must not be negative")
 		os.Exit(2)
 	}
-	if !(*scale > 0) || math.IsInf(*scale, 0) {
-		fmt.Fprintln(os.Stderr, "teatrace: -scale must be a positive finite number")
+	rc := analysis.DefaultRunConfig()
+	rc.Scale = *scale
+	rc.Interval = *interval
+	rc.Jitter = *interval / 16
+	if err := rc.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "teatrace:", err)
 		os.Exit(2)
 	}
 
 	switch {
 	case *record != "" && *replay == "" && *stats == "":
-		if err := doRecord(*record, *bench, *scale); err != nil {
+		if err := doRecord(*record, *bench, rc); err != nil {
 			fmt.Fprintln(os.Stderr, "teatrace:", err)
 			os.Exit(1)
 		}
@@ -69,7 +68,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "teatrace: unknown technique %q (known: %s)\n", *tech, strings.Join(known, ", "))
 			os.Exit(2)
 		}
-		if err := doReplay(*replay, name, *interval, *top); err != nil {
+		if err := doReplay(*replay, name, rc, *top); err != nil {
 			fmt.Fprintln(os.Stderr, "teatrace:", err)
 			os.Exit(1)
 		}
@@ -129,24 +128,22 @@ func doStats(path string, asJSON bool) error {
 	fmt.Printf("pattern table: %d matched of %d records (%.1f%% hit rate), %d match + %d literal tokens\n",
 		st.MatchedRecords, st.Records-1, 100*st.PatternHitRate(), st.MatchTokens, st.LitTokens)
 	fmt.Printf("\n%-10s %12s %16s\n", "kind", "records", "logical bytes")
-	for _, k := range []string{"fetch", "dispatch", "commit", "squash", "cycle"} {
-		fmt.Printf("%-10s %12d %16d\n", k, st.KindRecords[k], st.KindBytes[k])
+	for k, name := range trace.KindNames {
+		fmt.Printf("%-10s %12d %16d\n", name, st.KindRecords[k], st.KindBytes[k])
 	}
 	fmt.Printf("\n%-10s %12s\n", "column", "bytes")
 	fmt.Printf("%-10s %12d\n", "tokens", st.TokenBytes)
-	for _, name := range trace.ColumnNames {
-		fmt.Printf("%-10s %12d\n", name, st.Columns[name])
+	for c, name := range trace.ColumnNames {
+		fmt.Printf("%-10s %12d\n", name, st.ColumnBytes[c])
 	}
 	return nil
 }
 
-func doRecord(path, bench string, scale float64) error {
+func doRecord(path, bench string, rc analysis.RunConfig) error {
 	w, err := workloads.ByName(bench)
 	if err != nil {
 		return err
 	}
-	rc := analysis.DefaultRunConfig()
-	rc.Scale = scale
 	data, stats, err := analysis.CaptureTrace(context.Background(), w.Build(rc.Iters(w)), rc)
 	if err != nil {
 		return err
@@ -161,14 +158,11 @@ func doRecord(path, bench string, scale float64) error {
 
 // doReplay replays the trace at path to every technique and prints
 // tech, a name ProfileTechniques lists.
-func doReplay(path, tech string, interval uint64, top int) error {
+func doReplay(path, tech string, rc analysis.RunConfig, top int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	rc := analysis.DefaultRunConfig()
-	rc.Interval = interval
-	rc.Jitter = interval / 16
 	// A trace file carries no program, so the run names none.
 	br, err := analysis.ReplayCaptured(context.Background(), workloads.Workload{}, nil, rc, data)
 	if err != nil {

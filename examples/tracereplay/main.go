@@ -33,7 +33,7 @@ func main() {
 		fail(tw.Err())
 	}
 	fmt.Printf("captured %s: %d cycles -> %d trace bytes (%.1f B/cycle, %d records)\n\n",
-		w.Name, stats.Cycles, buf.Len(), float64(buf.Len())/float64(stats.Cycles), tw.Records)
+		w.Name, stats.Cycles, buf.Len(), float64(buf.Len())/float64(stats.Cycles), tw.Counters().Records)
 
 	// 2. Replay the trace into any set of profilers — no re-simulation.
 	golden := core.NewGolden(nil)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -219,4 +220,42 @@ func TestRunProgramPanicsTyped(t *testing.T) {
 	}()
 	RunProgram(w, p, rc)
 	t.Fatal("RunProgram should have panicked")
+}
+
+// TestRunConfigValidate drives the run-config check every front end
+// shares: each bad interval, jitter or scale is a typed
+// ErrInvalidConfig, and the defaults and the boundary values pass.
+func TestRunConfigValidate(t *testing.T) {
+	with := func(f func(*RunConfig)) RunConfig {
+		rc := DefaultRunConfig()
+		f(&rc)
+		return rc
+	}
+	cases := []struct {
+		name string
+		rc   RunConfig
+		ok   bool
+	}{
+		{"defaults", DefaultRunConfig(), true},
+		{"jitter equal to interval", with(func(rc *RunConfig) { rc.Interval, rc.Jitter = 10, 10 }), true},
+		{"tiny scale", with(func(rc *RunConfig) { rc.Scale = 1e-300 }), true},
+		{"large scale", with(func(rc *RunConfig) { rc.Scale = 1e14 }), true},
+		{"zero interval", with(func(rc *RunConfig) { rc.Interval, rc.Jitter = 0, 0 }), false},
+		{"jitter above interval", with(func(rc *RunConfig) { rc.Interval, rc.Jitter = 10, 100 }), false},
+		{"zero scale", with(func(rc *RunConfig) { rc.Scale = 0 }), false},
+		{"negative scale", with(func(rc *RunConfig) { rc.Scale = -1 }), false},
+		{"NaN scale", with(func(rc *RunConfig) { rc.Scale = math.NaN() }), false},
+		{"Inf scale", with(func(rc *RunConfig) { rc.Scale = math.Inf(1) }), false},
+		{"overflowing scale", with(func(rc *RunConfig) { rc.Scale = 1e19 }), false},
+		{"huge scale", with(func(rc *RunConfig) { rc.Scale = 1e300 }), false},
+	}
+	for _, tc := range cases {
+		err := tc.rc.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, simerr.ErrInvalidConfig) {
+			t.Errorf("%s: got %v, want a typed ErrInvalidConfig", tc.name, err)
+		}
+	}
 }

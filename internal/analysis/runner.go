@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -54,6 +55,32 @@ func DefaultRunConfig() RunConfig {
 		Scale:    1.0,
 		Core:     cpu.DefaultConfig(),
 	}
+}
+
+// Validate returns a typed ErrInvalidConfig unless rc can drive a run:
+// a positive sampling interval, a jitter no wider than the interval
+// (a wider one can wrap the sample clock), and a positive finite scale
+// at which every suite workload's iteration count fits in an int.
+// Every front end calls it before any work. It computes only and
+// builds no program.
+func (rc RunConfig) Validate() error {
+	bad := func(format string, args ...any) error {
+		return simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{}, format, args...)
+	}
+	switch {
+	case rc.Interval == 0:
+		return bad("interval must be positive")
+	case rc.Jitter > rc.Interval:
+		return bad("jitter %d exceeds interval %d", rc.Jitter, rc.Interval)
+	case !(rc.Scale > 0) || math.IsInf(rc.Scale, 1):
+		return bad("scale %v is not a positive finite number", rc.Scale)
+	}
+	for _, w := range workloads.All() {
+		if float64(w.DefaultIters)*rc.Scale >= math.MaxInt {
+			return bad("scale %v overflows %s's iteration count", rc.Scale, w.Name)
+		}
+	}
+	return nil
 }
 
 func (rc RunConfig) iters(w workloads.Workload) int {

@@ -114,6 +114,7 @@ func TestSampleFileRoundTrip(t *testing.T) {
 	c := cpu.New(cpu.DefaultConfig(), p)
 	cfg := DefaultConfig()
 	cfg.IntervalCycles = 300
+	cfg.JitterCycles = 300 / 16
 	tea := NewTEA(c, cfg)
 	c.Attach(tea)
 	c.Run()

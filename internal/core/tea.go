@@ -47,17 +47,23 @@ type Sampler struct {
 
 // NewSeededSampler returns a sampler firing roughly every interval
 // cycles. jitter is the half-width of the uniform perturbation (0
-// disables it), drawn from a PCG stream derived from seed. Every
-// sampler in the tree derives its randomness from an explicit seed
-// (never the package-global math/rand/v2 state, which the tealint
-// randsource analyzer forbids), so identical traces plus an identical
-// seed produce identical PICS.
+// disables it; it must not exceed interval), drawn from a PCG stream
+// derived from seed. Every sampler in the tree derives its randomness
+// from an explicit seed (never the package-global math/rand/v2 state,
+// which the tealint randsource analyzer forbids), so identical traces
+// plus an identical seed produce identical PICS.
 func NewSeededSampler(interval, jitter, seed uint64) *Sampler {
+	// Both are user-reachable through configuration; typed for
+	// boundary recovery (simerr.ErrInvalidConfig).
 	if interval == 0 {
-		// User-reachable through configuration; typed for boundary
-		// recovery (simerr.ErrInvalidConfig).
 		panic(simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{},
 			"core: sampling interval must be positive"))
+	}
+	if jitter > interval {
+		// A wider perturbation can pull the next sample point below
+		// zero, wrapping the clock so the sampler never fires again.
+		panic(simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{},
+			"core: sampling jitter %d exceeds the interval %d", jitter, interval))
 	}
 	s := &Sampler{
 		interval: interval,

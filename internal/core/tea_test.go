@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/pics"
 	"repro/internal/program"
+	"repro/internal/simerr"
 )
 
 func TestSamplerFiresAtInterval(t *testing.T) {
@@ -75,6 +77,32 @@ func TestSamplerZeroIntervalPanics(t *testing.T) {
 		}
 	}()
 	NewSeededSampler(0, 0, 1)
+}
+
+// TestSamplerJitterAboveIntervalPanics pins the jitter bound: a jitter
+// above the interval panics typed, and one equal to it keeps firing
+// (the clock never wraps below zero).
+func TestSamplerJitterAboveIntervalPanics(t *testing.T) {
+	func() {
+		defer func() {
+			if err, ok := recover().(error); !ok || !errors.Is(err, simerr.ErrInvalidConfig) {
+				t.Fatalf("NewSeededSampler(10, 100, 2): recovered %v, want a typed ErrInvalidConfig", err)
+			}
+		}()
+		NewSeededSampler(10, 100, 2)
+	}()
+	for seed := uint64(0); seed < 50; seed++ {
+		s := NewSeededSampler(10, 10, seed)
+		fired := 0
+		for c := uint64(0); c < 10000; c++ {
+			if s.Fires(c) {
+				fired++
+			}
+		}
+		if fired < 900 {
+			t.Fatalf("seed %d: jitter equal to the interval fired %d times in 10000 cycles, want ~1000", seed, fired)
+		}
+	}
 }
 
 // runWith builds a core for p, attaches golden + a TEA configured with
@@ -186,6 +214,7 @@ func TestTIPHasOnlyBaseComponent(t *testing.T) {
 	c := cpu.New(cpu.DefaultConfig(), p)
 	cfg := DefaultConfig()
 	cfg.IntervalCycles = 300
+	cfg.JitterCycles = 300 / 16
 	cfg.Set = 0 // TIP: time-proportional addresses, no events
 	tip := NewTEA(c, cfg)
 	c.Attach(tip)

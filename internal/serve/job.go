@@ -345,13 +345,12 @@ func (s *Server) buildJob(req *JobRequest) (*job, error) {
 			rc.Scale = *req.Config.Scale
 		}
 	}
-	if rc.Interval == 0 {
-		return nil, simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{},
-			"config.interval must be positive")
+	if err := rc.Validate(); err != nil {
+		return nil, err
 	}
-	if rc.Scale <= 0 || rc.Scale > s.cfg.MaxScale {
+	if rc.Scale > s.cfg.MaxScale {
 		return nil, simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{},
-			"config.scale %v outside (0, %v]", rc.Scale, s.cfg.MaxScale)
+			"config.scale %v exceeds the server's %v", rc.Scale, s.cfg.MaxScale)
 	}
 
 	techniques, err := normalizeTechniques(req.Techniques)
@@ -411,10 +410,8 @@ func (s *Server) buildProgram(spec *ProgramSpec) (workloads.Workload, *program.P
 			simerr.Snapshot{Workload: spec.Kind},
 			"program.prefetch_dist applies only to kind \"lbm\"")
 	}
-	if spec.PrefetchDist < 0 || spec.PrefetchDist > 64 {
-		return workloads.Workload{}, nil, simerr.New(simerr.ErrInvalidProgram,
-			simerr.Snapshot{Workload: spec.Kind},
-			"program.prefetch_dist %d outside [0, 64]", spec.PrefetchDist)
+	if err := workloads.CheckPrefetchDist(spec.PrefetchDist); err != nil {
+		return workloads.Workload{}, nil, err
 	}
 	if spec.FastMath && spec.Kind != "nab" {
 		return workloads.Workload{}, nil, simerr.New(simerr.ErrInvalidProgram,

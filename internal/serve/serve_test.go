@@ -256,6 +256,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown workload", `{"workload":"doom"}`, 400, "invalid_config"},
 		{"unknown technique", `{"workload":"mcf","techniques":["perf"]}`, 400, "invalid_config"},
 		{"zero interval", `{"workload":"mcf","config":{"interval":0}}`, 400, "invalid_config"},
+		{"jitter above interval", `{"workload":"mcf","config":{"interval":10,"jitter":100}}`, 400, "invalid_config"},
 		{"negative scale", `{"workload":"mcf","config":{"scale":-1}}`, 400, "invalid_config"},
 		{"huge scale", `{"workload":"mcf","config":{"scale":1e9}}`, 400, "invalid_config"},
 		{"retired checkpoint interval", `{"workload":"mcf","config":{"checkpoint_interval":500}}`, 400, "bad_request"},

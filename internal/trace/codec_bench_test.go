@@ -156,7 +156,7 @@ func BenchmarkCodecDecodeV4(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	reportMetrics(b, decodeMetrics(cycles, tw.Records))
+	reportMetrics(b, decodeMetrics(cycles, tw.Counters().Records))
 }
 
 // BenchmarkCodecDecodeV3 replays the legacy encoding of the same
@@ -237,7 +237,7 @@ func encodeV4Metrics(buf *bytes.Buffer, tw *trace.Writer) map[string]float64 {
 	ctr := tw.Counters()
 	return map[string]float64{
 		"encoded_bytes": float64(buf.Len()),
-		"records":       float64(tw.Records),
+		"records":       float64(ctr.Records),
 		"compression_x": float64(ctr.LogicalBytes) / float64(ctr.EncodedBytes),
 	}
 }
@@ -283,7 +283,7 @@ func TestCodecNumbers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got["CodecDecodeV4"] = decodeMetrics(cycles, tw.Records)
+	got["CodecDecodeV4"] = decodeMetrics(cycles, tw.Counters().Records)
 
 	v3 := newV3Writer()
 	l.play(v3)

@@ -3,9 +3,11 @@ package trace
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/simerr"
 	"repro/internal/workloads"
 )
 
@@ -74,69 +76,105 @@ func TestParseLayoutCoversStream(t *testing.T) {
 	}
 }
 
-// TestScanStatsMatchesCounters checks that the offline stats scan
-// re-derives exactly what the writer counted at encode time, and that
-// the per-column and per-kind breakdowns sum to their totals.
+// TestScanStatsMatchesCounters checks that the per-column and per-kind
+// breakdowns sum to their totals, and that the byte counts agree with
+// the stream's structural layout.
 func TestScanStatsMatchesCounters(t *testing.T) {
-	data, tw := captureStream(t, "lbm", 8)
+	data, _ := captureStream(t, "lbm", 8)
 	st, err := ScanStats(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctr := tw.Counters()
-	if st.Records != ctr.Records { // both include the done section
-		t.Errorf("records: scan %d, writer %d", st.Records, ctr.Records)
-	}
-	if st.Blocks != ctr.Blocks {
-		t.Errorf("blocks: scan %d, writer %d", st.Blocks, ctr.Blocks)
-	}
-	if st.LitTokens != ctr.LitTokens || st.MatchTokens != ctr.MatchTokens {
-		t.Errorf("tokens: scan %d lit + %d match, writer %d + %d",
-			st.LitTokens, st.MatchTokens, ctr.LitTokens, ctr.MatchTokens)
-	}
-	if st.MatchedRecords != ctr.MatchedRecords {
-		t.Errorf("matched records: scan %d, writer %d", st.MatchedRecords, ctr.MatchedRecords)
-	}
-	if st.EncodedBytes != ctr.EncodedBytes {
-		t.Errorf("encoded bytes: scan %d, writer %d", st.EncodedBytes, ctr.EncodedBytes)
-	}
-	if st.LogicalBytes != ctr.LogicalBytes {
-		t.Errorf("logical bytes: scan %d, writer %d", st.LogicalBytes, ctr.LogicalBytes)
+	lay, err := ParseLayout(data)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if int(st.EncodedBytes) != len(data) {
 		t.Errorf("encoded bytes %d, stream is %d bytes", st.EncodedBytes, len(data))
 	}
+	if int(st.Blocks) != len(lay.Blocks) {
+		t.Errorf("blocks %d, layout has %d", st.Blocks, len(lay.Blocks))
+	}
 
 	var kindRecords, kindBytes uint64
-	for _, v := range st.KindRecords {
-		kindRecords += v
+	for i, name := range KindNames {
+		if st.Kinds[name] != st.KindRecords[i] || st.KindLogical[name] != st.KindBytes[i] {
+			t.Errorf("kind %s: map %d records %d bytes, array %d records %d bytes",
+				name, st.Kinds[name], st.KindLogical[name], st.KindRecords[i], st.KindBytes[i])
+		}
+		kindRecords += st.KindRecords[i]
+		kindBytes += st.KindBytes[i]
 	}
-	for _, v := range st.KindBytes {
-		kindBytes += v
+	if kindRecords != st.Records-1 { // the done section has no kind
+		t.Errorf("per-kind records sum to %d, %d counted incl. done", kindRecords, st.Records)
 	}
-	if kindRecords != ctr.Records-1 { // the done section has no kind
-		t.Errorf("per-kind records sum to %d, writer counted %d incl. done", kindRecords, ctr.Records)
-	}
-	if kindBytes > st.LogicalBytes {
-		t.Errorf("per-kind bytes sum to %d, exceeding logical total %d", kindBytes, st.LogicalBytes)
+	// Logical = header + every block record's v3 size + the done
+	// section, which both formats encode alike.
+	if done := uint64(lay.DoneEnd - lay.DoneStart); 5+kindBytes+done != st.LogicalBytes {
+		t.Errorf("header + per-kind bytes %d + done %d = %d, logical total %d",
+			kindBytes, done, 5+kindBytes+done, st.LogicalBytes)
 	}
 
-	var colBytes uint64
+	var colBytes, spanBytes uint64
 	for i, name := range ColumnNames {
 		if st.Columns[name] != st.ColumnBytes[i] {
 			t.Errorf("column %s: map %d, array %d", name, st.Columns[name], st.ColumnBytes[i])
 		}
 		colBytes += st.ColumnBytes[i]
 	}
-	if colBytes+st.TokenBytes >= st.EncodedBytes {
-		t.Errorf("columns (%d) + tokens (%d) should be under encoded total %d (framing overhead)",
-			colBytes, st.TokenBytes, st.EncodedBytes)
+	for _, b := range lay.Blocks {
+		spanBytes += uint64(b.TokenSpan.End - b.TokenSpan.Start)
+		for _, c := range b.Columns {
+			spanBytes += uint64(c.End - c.Start)
+		}
+	}
+	if colBytes+st.TokenBytes != spanBytes {
+		t.Errorf("columns (%d) + tokens (%d) = %d, layout spans hold %d",
+			colBytes, st.TokenBytes, colBytes+st.TokenBytes, spanBytes)
 	}
 	if hr := st.PatternHitRate(); hr < 0 || hr > 1 {
 		t.Errorf("pattern hit rate %v out of [0,1]", hr)
 	}
 	if st.CompressionRatio() <= 1 {
 		t.Errorf("compression ratio %.2f, want > 1 on a loop workload", st.CompressionRatio())
+	}
+}
+
+// TestScanStatsRejectsNonCanonical re-encodes a capture with one extra
+// block boundary forced mid-stream. The result still verifies, because
+// the digest covers logical values only, but it is not the writer's
+// encoding of its records, so ScanStats must fail it typed rather than
+// report the counts of other bytes.
+func TestScanStatsRejectsNonCanonical(t *testing.T) {
+	data, tw := captureStream(t, "lbm", 8)
+	var buf bytes.Buffer
+	split := NewWriter(&buf)
+	at := splitAt{w: split, cycle: tw.Counters().TotalCycles / 2}
+	if _, err := ReplayBytes(context.Background(), data, split, at); err != nil {
+		t.Fatal(err)
+	}
+	if split.Counters().Blocks != tw.Counters().Blocks+1 {
+		t.Fatalf("forced boundary: %d blocks, capture has %d", split.Counters().Blocks, tw.Counters().Blocks)
+	}
+	if err := Verify(buf.Bytes()); err != nil {
+		t.Fatalf("split stream does not verify: %v", err)
+	}
+	if _, err := ScanStats(buf.Bytes()); !errors.Is(err, simerr.ErrDecode) {
+		t.Fatalf("ScanStats on a non-canonical stream: %v, want ErrDecode", err)
+	}
+}
+
+// splitAt closes w's current block after w has taken the given cycle's
+// record; attached after w, it sees each cycle once w has.
+type splitAt struct {
+	cpu.BaseProbe
+	w     *Writer
+	cycle uint64
+}
+
+func (s splitAt) OnCycle(ci *cpu.CycleInfo) {
+	if ci.Cycle == s.cycle {
+		s.w.flushBlock()
 	}
 }
 
@@ -153,7 +191,7 @@ func TestReplayMatchesWriterDigest(t *testing.T) {
 	if got != last {
 		t.Errorf("replay returned %d cycles, OnDone saw %d", got, last)
 	}
-	if tw.Records == 0 {
+	if tw.Counters().Records == 0 {
 		t.Fatal("writer recorded nothing")
 	}
 }

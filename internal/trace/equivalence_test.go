@@ -49,8 +49,10 @@ func codecSuite(c *cpu.CPU, rc analysis.RunConfig) ([]cpu.Probe, func() map[stri
 // while a live technique suite profiles it directly, then each stream
 // replays into a fresh suite. All three must produce byte-identical
 // profile JSON for every technique — the redundancy suppression is
-// invisible at the logical level. The suite-wide byte totals must also
-// clear the ISSUE 10 acceptance floor: v4 at least 5x smaller than v3.
+// invisible at the logical level — and the v4 replay, re-encoded by a
+// fresh writer, must reproduce the capture's bytes and counters. The
+// suite-wide byte totals must also clear the ISSUE 10 acceptance
+// floor: v4 at least 5x smaller than v3.
 func TestCodecV3V4Equivalence(t *testing.T) {
 	rc := analysis.DefaultRunConfig()
 	rc.Scale = 0.05
@@ -83,13 +85,23 @@ func TestCodecV3V4Equivalence(t *testing.T) {
 			totalV3 += len(v3w.Bytes())
 			totalV4 += v4buf.Len()
 
+			// The v4 replay also re-encodes the stream: equal record
+			// sequences encode identically, with equal counters.
 			v4Probes, v4Profiles := codecSuite(nil, rc)
-			cycles, err := trace.ReplayBytes(context.Background(), v4buf.Bytes(), v4Probes...)
+			var rebuf bytes.Buffer
+			rew := trace.NewWriter(&rebuf)
+			cycles, err := trace.ReplayBytes(context.Background(), v4buf.Bytes(), append(v4Probes, rew)...)
 			if err != nil {
 				t.Fatalf("v4 replay: %v", err)
 			}
 			if cycles != stats.Cycles {
 				t.Errorf("v4 replay cycles %d, live %d", cycles, stats.Cycles)
+			}
+			if !bytes.Equal(rebuf.Bytes(), v4buf.Bytes()) {
+				t.Errorf("re-encoded v4 stream differs from the capture (%d vs %d bytes)", rebuf.Len(), v4buf.Len())
+			}
+			if got, want := rew.Counters(), v4w.Counters(); got != want {
+				t.Errorf("re-encoding counters %+v, capture %+v", got, want)
 			}
 			v3Probes, v3Profiles := codecSuite(nil, rc)
 			cycles, err = v3ReplayBytes(v3w.Bytes(), v3Probes...)

@@ -1,11 +1,10 @@
 package trace
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 
-	"repro/internal/cpu"
-	"repro/internal/events"
 	"repro/internal/simerr"
 )
 
@@ -137,32 +136,14 @@ func RecordOffsets(data []byte) ([]int, error) {
 	return offsets, nil
 }
 
-// CodecStats describes one v4 stream for operators: how large the
-// stream is on disk versus the v3-equivalent record-at-a-time
-// ("logical") encoding of the same records, where the bytes live
-// (token stream vs each column), how much of the stream the pattern
-// table absorbed, and the per-record-kind breakdown of the logical
-// bytes. Produced by ScanStats and surfaced by `teatrace -stats`.
+// CodecStats describes one v4 stream for operators: its Counters,
+// plus the per-column and per-record-kind breakdowns keyed by name.
+// Produced by ScanStats and surfaced by `teatrace -stats`.
 type CodecStats struct {
-	Records     uint64 `json:"records"` // includes the done section, mirroring Writer.Records
-	Blocks      uint64 `json:"blocks"`
-	TotalCycles uint64 `json:"total_cycles"`
-
-	LitTokens      uint64 `json:"lit_tokens"`
-	MatchTokens    uint64 `json:"match_tokens"`
-	MatchedRecords uint64 `json:"matched_records"`
-
-	EncodedBytes uint64            `json:"encoded_bytes"`
-	LogicalBytes uint64            `json:"logical_bytes"`
-	TokenBytes   uint64            `json:"token_bytes"`
-	ColumnBytes  [nCols]uint64     `json:"-"`
-	Columns      map[string]uint64 `json:"column_bytes"`
-
-	// Per-kind record counts and v3-equivalent encoded bytes, the
-	// per-record-kind byte histogram (fetch, dispatch, commit, squash,
-	// cycle).
-	KindRecords map[string]uint64 `json:"kind_records"`
-	KindBytes   map[string]uint64 `json:"kind_logical_bytes"`
+	Counters
+	Columns     map[string]uint64 `json:"column_bytes"`
+	Kinds       map[string]uint64 `json:"kind_records"`
+	KindLogical map[string]uint64 `json:"kind_logical_bytes"`
 }
 
 // PatternHitRate is the fraction of block records covered by match
@@ -187,160 +168,41 @@ func (s CodecStats) CompressionRatio() float64 {
 	return float64(s.LogicalBytes) / float64(s.EncodedBytes)
 }
 
-// kindNames labels record kinds 1..5 for the stats histogram.
-var kindNames = [...]string{
-	recFetch:    "fetch",
-	recDispatch: "dispatch",
-	recCommit:   "commit",
-	recSquash:   "squash",
-	recCycle:    "cycle",
-}
-
-// statsProbe re-derives the v3-equivalent encoding cost of each
-// replayed record: it tracks the same stream-continuous delta state as
-// the writer and sums uvarint sizes per record kind.
-type statsProbe struct {
-	cpu.BaseProbe
-	lastCycle, lastSeq, lastPC uint64
-	kindRecords                [recCycle + 1]uint64
-	kindBytes                  [recCycle + 1]uint64
-	totalCycles                uint64
-}
-
-func (s *statsProbe) deltas(seq, cycle uint64) (ds, dc uint64) {
-	ds = zigzag(int64(seq) - int64(s.lastSeq))
-	dc = cycle - s.lastCycle
-	s.lastSeq, s.lastCycle = seq, cycle
-	return ds, dc
-}
-
-func (s *statsProbe) OnFetch(r cpu.Ref, cycle uint64) {
-	ds, dc := s.deltas(r.Seq, cycle)
-	dp := zigzag(int64(r.PC) - int64(s.lastPC))
-	s.lastPC = r.PC
-	s.kindRecords[recFetch]++
-	s.kindBytes[recFetch] += 1 + uvlen(ds) + uvlen(dp) + uvlen(dc)
-}
-
-func (s *statsProbe) OnDispatch(r cpu.Ref, cycle uint64) {
-	ds, dc := s.deltas(r.Seq, cycle)
-	s.kindRecords[recDispatch]++
-	s.kindBytes[recDispatch] += 1 + uvlen(ds) + uvlen(dc)
-}
-
-func (s *statsProbe) OnCommit(r cpu.Ref, cycle uint64) {
-	ds, dc := s.deltas(r.Seq, cycle)
-	s.kindRecords[recCommit]++
-	s.kindBytes[recCommit] += 1 + uvlen(ds) + uvlen(uint64(r.PSV)) + uvlen(dc)
-}
-
-func (s *statsProbe) OnSquash(r cpu.Ref, cycle uint64) {
-	ds, dc := s.deltas(r.Seq, cycle)
-	s.kindRecords[recSquash]++
-	s.kindBytes[recSquash] += 1 + uvlen(ds) + uvlen(dc)
-}
-
-func (s *statsProbe) OnCycle(ci *cpu.CycleInfo) {
-	dc := ci.Cycle - s.lastCycle
-	s.lastCycle = ci.Cycle
-	b := uint64(2) + uvlen(dc) // kind byte + state byte + cycle delta
-	switch ci.State {
-	case events.Compute:
-		b += uvlen(uint64(len(ci.Committed)))
-		for _, r := range ci.Committed {
-			ds := zigzag(int64(r.Seq) - int64(s.lastSeq))
-			s.lastSeq = r.Seq
-			b += uvlen(ds)
-		}
-	case events.Stalled:
-		ds := zigzag(int64(ci.Head.Seq) - int64(s.lastSeq))
-		s.lastSeq = ci.Head.Seq
-		b += uvlen(ds)
-	case events.Flushed:
-		ds := zigzag(int64(ci.LastCommitted.Seq) - int64(s.lastSeq))
-		s.lastSeq = ci.LastCommitted.Seq
-		b += uvlen(ds)
-	}
-	s.kindRecords[recCycle]++
-	s.kindBytes[recCycle] += b
-}
-
-func (s *statsProbe) OnDone(totalCycles uint64) { s.totalCycles = totalCycles }
-
 // ScanStats replays a complete in-memory v4 stream (validating it end
-// to end, digest included) and returns its codec statistics. A stream
-// that fails replay fails ScanStats with the same typed error.
+// to end, digest included) into a fresh Writer and returns that
+// writer's Counters, so the codec's accounting lives in the writer
+// alone. Equal record sequences encode to identical bytes, so the
+// re-encoding must reproduce data exactly: a stream that decodes but
+// is not the writer's encoding of its records (an extra block
+// boundary, trailing bytes) fails with a typed simerr.ErrDecode rather
+// than reporting the counts of other bytes. A stream that fails
+// replay fails ScanStats with the same typed error.
 //
 //tealint:ctxroot stats pass over an in-memory buffer, bounded by the buffer's length; nothing upstream to cancel it
 func ScanStats(data []byte) (*CodecStats, error) {
-	sp := &statsProbe{}
-	if _, err := ReplayBytes(context.Background(), data, sp); err != nil {
+	var buf bytes.Buffer
+	buf.Grow(len(data))
+	tw := NewWriter(&buf)
+	if _, err := ReplayBytes(context.Background(), data, tw); err != nil {
 		return nil, err
 	}
-	lay, err := ParseLayout(data)
-	if err != nil {
-		return nil, err
+	if !bytes.Equal(buf.Bytes(), data) {
+		return nil, simerr.New(simerr.ErrDecode, simerr.Snapshot{},
+			"trace: stream decodes but is not the canonical encoding of its records (re-encoded %d bytes, stream %d)",
+			buf.Len(), len(data))
 	}
 	st := &CodecStats{
-		Blocks:       uint64(len(lay.Blocks)),
-		TotalCycles:  sp.totalCycles,
-		EncodedBytes: uint64(len(data)),
-		Columns:      make(map[string]uint64, nCols),
-		KindRecords:  make(map[string]uint64, recCycle),
-		KindBytes:    make(map[string]uint64, recCycle),
+		Counters:    tw.Counters(),
+		Columns:     make(map[string]uint64, nCols),
+		Kinds:       make(map[string]uint64, nKinds),
+		KindLogical: make(map[string]uint64, nKinds),
 	}
-	// Logical = header + every record's v3 size + the done record.
-	st.LogicalBytes = 5
-	for k := recFetch; k <= recCycle; k++ {
-		st.Records += sp.kindRecords[k]
-		st.LogicalBytes += sp.kindBytes[k]
-		st.KindRecords[kindNames[k]] = sp.kindRecords[k]
-		st.KindBytes[kindNames[k]] = sp.kindBytes[k]
+	for c, name := range ColumnNames {
+		st.Columns[name] = st.ColumnBytes[c]
 	}
-	for _, b := range lay.Blocks {
-		st.TokenBytes += uint64(b.TokenSpan.End - b.TokenSpan.Start)
-		for c := 0; c < nCols; c++ {
-			st.ColumnBytes[c] += uint64(b.Columns[c].End - b.Columns[c].Start)
-		}
-		lit, match, matched, err := countTokens(data[b.TokenSpan.Start:b.TokenSpan.End], b.Tokens)
-		if err != nil {
-			return nil, err
-		}
-		st.LitTokens += lit
-		st.MatchTokens += match
-		st.MatchedRecords += matched
+	for k, name := range KindNames {
+		st.Kinds[name] = st.KindRecords[k]
+		st.KindLogical[name] = st.KindBytes[k]
 	}
-	for c := 0; c < nCols; c++ {
-		st.Columns[ColumnNames[c]] = st.ColumnBytes[c]
-	}
-	doneLen := uint64(lay.DoneEnd - lay.DoneStart)
-	st.Records++ // the done section, mirroring Writer.Records
-	st.LogicalBytes += doneLen
 	return st, nil
-}
-
-// countTokens tallies a block's token stream. The stream already
-// passed full replay validation; the guards here only keep the tally
-// loop bounded.
-func countTokens(tokens []byte, nTok int) (lit, match, matched uint64, err error) {
-	tp := 0
-	for k := 0; k < nTok; k++ {
-		v, sz := binary.Uvarint(tokens[tp:])
-		if sz <= 0 {
-			return 0, 0, 0, simerr.New(simerr.ErrDecode, simerr.Snapshot{}, "trace: truncated token")
-		}
-		tp += sz
-		if v&1 == 1 {
-			match++
-			matched += v >> 1
-			if _, sz := binary.Uvarint(tokens[tp:]); sz > 0 {
-				tp += sz
-			} else {
-				return 0, 0, 0, simerr.New(simerr.ErrDecode, simerr.Snapshot{}, "trace: truncated match distance")
-			}
-		} else {
-			lit++
-		}
-	}
-	return lit, match, matched, nil
 }

@@ -139,6 +139,13 @@ const (
 // stats output and chaos-mode labels.
 var ColumnNames = [nCols]string{"kinds", "cycles", "seqs", "pcs", "psvs", "states", "counts"}
 
+// nKinds is the number of block record kinds (recFetch..recCycle).
+const nKinds = recCycle
+
+// KindNames names the block record kinds in kind order, for stats
+// output: entry k-1 is kind k.
+var KindNames = [nKinds]string{"fetch", "dispatch", "commit", "squash", "cycle"}
+
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
@@ -146,17 +153,26 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // v3-equivalent "logical" stream size without materializing it.
 func uvlen(v uint64) uint64 { return uint64(bits.Len64(v|1)+6) / 7 }
 
-// Counters reports what the writer did, for compression stats: the
-// logical (v3-equivalent record-at-a-time) size versus the encoded v4
-// size, and how much of the stream the pattern table absorbed.
+// Counters is the codec's one account of a stream: the logical
+// (v3-equivalent record-at-a-time) size versus the encoded v4 size,
+// where the encoded bytes live, how much of the stream the pattern
+// table absorbed, and the per-record-kind breakdown. The writer keeps
+// it while encoding; ScanStats reads it back from a stream by
+// re-encoding. The JSON names are `teatrace -stats -json`'s keys.
 type Counters struct {
-	Records        uint64 // records serialized (including the done section)
-	Blocks         uint64 // columnar blocks emitted
-	LitTokens      uint64 // literal-run tokens
-	MatchTokens    uint64 // match tokens
-	MatchedRecords uint64 // records covered by match tokens
-	LogicalBytes   uint64 // exact v3 encoding size of the same record sequence
-	EncodedBytes   uint64 // bytes actually written (v4)
+	Records        uint64 `json:"records"`         // records serialized (including the done section)
+	Blocks         uint64 `json:"blocks"`          // columnar blocks emitted
+	TotalCycles    uint64 `json:"total_cycles"`    // the done section's cycle count
+	LitTokens      uint64 `json:"lit_tokens"`      // literal-run tokens
+	MatchTokens    uint64 `json:"match_tokens"`    // match tokens
+	MatchedRecords uint64 `json:"matched_records"` // records covered by match tokens
+	EncodedBytes   uint64 `json:"encoded_bytes"`   // bytes actually written (v4)
+	LogicalBytes   uint64 `json:"logical_bytes"`   // exact v3 encoding size of the same record sequence
+	TokenBytes     uint64 `json:"token_bytes"`     // token-span payload bytes across blocks
+
+	ColumnBytes [nCols]uint64  `json:"-"` // literal-column payload bytes, named by ColumnNames
+	KindRecords [nKinds]uint64 `json:"-"` // block records per kind, named by KindNames
+	KindBytes   [nKinds]uint64 `json:"-"` // v3-equivalent bytes per kind, named by KindNames
 }
 
 // Writer is a cpu.Probe that serializes the probe event stream as
@@ -210,9 +226,6 @@ type Writer struct {
 	// values; the done section carries it for the reader to verify.
 	digest uint64
 
-	// Records counts serialized records (for statistics).
-	Records uint64
-
 	c Counters
 }
 
@@ -239,11 +252,7 @@ func (t *Writer) Err() error { return t.err }
 
 // Counters returns the writer's codec statistics. Complete only after
 // OnDone has fired (LogicalBytes/EncodedBytes include the done section).
-func (t *Writer) Counters() Counters {
-	c := t.c
-	c.Records = t.Records
-	return c
-}
+func (t *Writer) Counters() Counters { return t.c }
 
 func (t *Writer) header() {
 	if t.started {
@@ -263,11 +272,15 @@ func (t *Writer) flush() {
 	t.buf = t.buf[:0]
 }
 
-// endRecord closes one buffered record; the block is serialized once
-// the record or commit-list budget fills. Both thresholds are pure
-// functions of the logical record sequence (see blockRecords).
-func (t *Writer) endRecord() {
-	t.Records++
+// endRecord closes one buffered record of kind, whose v3 encoding is
+// lb bytes; the block is serialized once the record or commit-list
+// budget fills. Both thresholds are pure functions of the logical
+// record sequence (see blockRecords).
+func (t *Writer) endRecord(kind byte, lb uint64) {
+	t.c.Records++
+	t.c.KindRecords[kind-1]++
+	t.c.KindBytes[kind-1] += lb
+	t.c.LogicalBytes += lb
 	if len(t.kinds) >= blockRecords || len(t.lists) >= blockListFlush {
 		t.flushBlock()
 	}
@@ -300,8 +313,7 @@ func (t *Writer) OnFetch(r cpu.Ref, cycle uint64) {
 	t.lastSeq, t.lastPC, t.lastCycle = r.Seq, r.PC, cycle
 	t.push(recFetch, dc, ds, dp)
 	t.digest = mix(mix(mix(mix(t.digest, recFetch), r.Seq), r.PC), cycle)
-	t.c.LogicalBytes += 1 + uvlen(ds) + uvlen(dp) + uvlen(dc)
-	t.endRecord()
+	t.endRecord(recFetch, 1+uvlen(ds)+uvlen(dp)+uvlen(dc))
 }
 
 // OnDispatch implements cpu.Probe.
@@ -312,8 +324,7 @@ func (t *Writer) OnDispatch(r cpu.Ref, cycle uint64) {
 	t.lastSeq, t.lastCycle = r.Seq, cycle
 	t.push(recDispatch, dc, ds, 0)
 	t.digest = mix(mix(mix(t.digest, recDispatch), r.Seq), cycle)
-	t.c.LogicalBytes += 1 + uvlen(ds) + uvlen(dc)
-	t.endRecord()
+	t.endRecord(recDispatch, 1+uvlen(ds)+uvlen(dc))
 }
 
 // OnCommit implements cpu.Probe. The µop's PSV is final here.
@@ -324,8 +335,7 @@ func (t *Writer) OnCommit(r cpu.Ref, cycle uint64) {
 	t.lastSeq, t.lastCycle = r.Seq, cycle
 	t.push(recCommit, dc, ds, uint64(r.PSV))
 	t.digest = mix(mix(mix(mix(t.digest, recCommit), r.Seq), uint64(r.PSV)), cycle)
-	t.c.LogicalBytes += 1 + uvlen(ds) + uvlen(uint64(r.PSV)) + uvlen(dc)
-	t.endRecord()
+	t.endRecord(recCommit, 1+uvlen(ds)+uvlen(uint64(r.PSV))+uvlen(dc))
 }
 
 // OnSquash implements cpu.Probe.
@@ -336,8 +346,7 @@ func (t *Writer) OnSquash(r cpu.Ref, cycle uint64) {
 	t.lastSeq, t.lastCycle = r.Seq, cycle
 	t.push(recSquash, dc, ds, 0)
 	t.digest = mix(mix(mix(t.digest, recSquash), r.Seq), cycle)
-	t.c.LogicalBytes += 1 + uvlen(ds) + uvlen(dc)
-	t.endRecord()
+	t.endRecord(recSquash, 1+uvlen(ds)+uvlen(dc))
 }
 
 // OnCycle implements cpu.Probe. Commit records for the cycle precede
@@ -379,8 +388,7 @@ func (t *Writer) OnCycle(ci *cpu.CycleInfo) {
 		t.push(recCycle, dc, uint64(ci.State), 0)
 	}
 	t.digest = h
-	t.c.LogicalBytes += lb
-	t.endRecord()
+	t.endRecord(recCycle, lb)
 }
 
 // OnDone implements cpu.Probe and finalizes the stream: any buffered
@@ -393,7 +401,8 @@ func (t *Writer) OnDone(totalCycles uint64) {
 	t.buf = binary.AppendUvarint(t.buf, totalCycles)
 	t.digest = mix(mix(t.digest, recDone), totalCycles)
 	t.buf = binary.AppendUvarint(t.buf, t.digest)
-	t.Records++
+	t.c.Records++
+	t.c.TotalCycles = totalCycles
 	t.c.LogicalBytes += 1 + uvlen(totalCycles) + uvlen(t.digest)
 	t.flush()
 }
@@ -520,9 +529,11 @@ func (t *Writer) flushBlock() {
 	t.buf = binary.AppendUvarint(t.buf, uint64(nTokens))
 	t.buf = binary.AppendUvarint(t.buf, uint64(len(t.tokBuf)))
 	t.buf = append(t.buf, t.tokBuf...)
+	t.c.TokenBytes += uint64(len(t.tokBuf))
 	for ci := 0; ci < nCols; ci++ {
 		t.buf = binary.AppendUvarint(t.buf, uint64(len(t.cols[ci])))
 		t.buf = append(t.buf, t.cols[ci]...)
+		t.c.ColumnBytes[ci] += uint64(len(t.cols[ci]))
 	}
 	t.c.Blocks++
 	t.flush()

@@ -176,7 +176,7 @@ func TestTraceCompactness(t *testing.T) {
 	if perCycle > 20 {
 		t.Errorf("trace uses %.1f bytes/cycle, want compact encoding", perCycle)
 	}
-	if tw.Records == 0 {
+	if tw.Counters().Records == 0 {
 		t.Errorf("no records written")
 	}
 }

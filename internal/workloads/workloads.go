@@ -82,6 +82,18 @@ func Names() []string {
 // ---------------------------------------------------------------------------
 // lbm — the Figure 10/11 case study.
 
+// CheckPrefetchDist returns a typed ErrInvalidProgram unless d is a
+// prefetch distance front ends may pass to LBM: 0 (no prefetching)
+// through 64. A negative distance would also build the kernel without
+// prefetches, under a name that claims one.
+func CheckPrefetchDist(d int) error {
+	if d < 0 || d > 64 {
+		return simerr.New(simerr.ErrInvalidProgram, simerr.Snapshot{Workload: "lbm"},
+			"prefetch distance %d outside [0, 64]", d)
+	}
+	return nil
+}
+
 // LBM builds the lbm-like kernel: each inner-loop iteration loads 11
 // words spanning three cache lines of the source stream, runs enough FP
 // compute to fill the ROB, and issues 19 stores across five output

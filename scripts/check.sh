@@ -55,9 +55,11 @@ go build -o bin/teachaos ./cmd/teachaos
 
 # CLI smoke: every teaexp experiment at a small scale, Figure 8 at an
 # interval whose sweep reaches below one cycle, both teadiff modes, a
-# teatrace record/replay/stats round trip, and usage errors — a zero
+# teatrace record/replay/stats round trip, teatrace -stats (text and
+# -json) on a tracestore disk entry, and usage errors — a zero
 # -interval, an unknown -tech, a negative -top, a -scale that is not a
-# positive finite number — rejected by each CLI with exit 2 and a
+# positive finite number or overflows a workload's iteration count, a
+# negative prefetch distance — rejected by each CLI with exit 2 and a
 # one-line message, before any work. A Go panic also exits 2, so stderr
 # must not carry one.
 clidir=$(mktemp -d)
@@ -70,6 +72,11 @@ go build -o "$clidir/" ./cmd/teaexp ./cmd/teaprof ./cmd/teatrace ./cmd/teadiff
 "$clidir/teatrace" -record "$clidir/bwaves.trace" -bench bwaves -scale 0.05
 "$clidir/teatrace" -replay "$clidir/bwaves.trace" >/dev/null
 "$clidir/teatrace" -stats "$clidir/bwaves.trace" >/dev/null
+"$clidir/teaexp" -scale 0.05 -tracecache "$clidir/cache" fig1 >/dev/null
+for entry in "$clidir"/cache/*.tea; do
+	"$clidir/teatrace" -stats "$entry" | grep -q '(tracestore disk entry)'
+	"$clidir/teatrace" -stats "$entry" -json | grep -q '"kind_records"'
+done
 rejects_usage() {
 	status=0
 	"$@" >/dev/null 2>"$clidir/stderr" || status=$?
@@ -89,6 +96,8 @@ rejects_usage "$clidir/teaexp" -scale 0 fig5
 rejects_usage "$clidir/teaprof" -scale Inf
 rejects_usage "$clidir/teatrace" -record "$clidir/nan.trace" -scale NaN
 rejects_usage "$clidir/teadiff" -scale -1
+rejects_usage "$clidir/teaprof" -scale 1e19 -bench lbm
+rejects_usage "$clidir/teadiff" -dist -3
 
 # End-to-end benchmark smoke: bench/ is its own module, out of reach of
 # `go build ./...`; its smoke test keeps it compiling and running.
