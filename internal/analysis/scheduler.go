@@ -34,13 +34,14 @@ func newCaptureJob(w workloads.Workload, p *program.Program, rc RunConfig) captu
 	return captureJob{w: w, p: p, rc: rc, key: captureKey(p, captureConfig(rc))}
 }
 
-// suiteJobs builds the one-job-per-workload grid for rc.
+// suiteJobs builds the one-job-per-workload grid for rc. Building and
+// keying a program touch nothing shared, so the pool does both.
 func suiteJobs(rc RunConfig) []captureJob {
 	all := workloads.All()
 	jobs := make([]captureJob, len(all))
-	for i, w := range all {
-		jobs[i] = newCaptureJob(w, w.Build(rc.iters(w)), rc)
-	}
+	forEach(len(all), func(i int) {
+		jobs[i] = newCaptureJob(all[i], all[i].Build(rc.iters(all[i])), rc)
+	})
 	return jobs
 }
 

@@ -48,6 +48,29 @@ func storeLoop(iters int) *program.Program {
 	return b.MustBuild()
 }
 
+// setLoop chases through 16 lines 4 KiB apart every iteration: each
+// load's address adds the previous load's (zero) value. The lines share
+// one 8-way L1D set, so every load misses the L1D and hits the LLC, and
+// most cycles wait on that fill: a fixed footprint that keeps the core
+// on its quiet path.
+func setLoop(iters int) *program.Program {
+	b := program.NewBuilder("setloop")
+	base := b.Alloc(16<<12, 4096)
+	b.Func("main")
+	b.MoviU(isa.X(1), base)
+	b.Movi(isa.X(2), 0)
+	b.Movi(isa.X(3), int64(iters))
+	b.Label("top")
+	for i := int64(0); i < 16; i++ {
+		b.Add(isa.X(1), isa.X(1), isa.X(4))
+		b.Load(isa.X(4), isa.X(1), i<<12)
+	}
+	b.Addi(isa.X(2), isa.X(2), 1)
+	b.Blt(isa.X(2), isa.X(3), "top")
+	b.Halt()
+	return b.MustBuild()
+}
+
 // TestCycleLoopAllocatesNothing pins DESIGN §5's claim that the
 // steady-state cycle loop allocates nothing: a kernel with a fixed
 // footprint run for 4N iterations makes exactly as many allocations as
@@ -57,7 +80,7 @@ func storeLoop(iters int) *program.Program {
 // through memory are no candidates: their emulator memory legitimately
 // grows with their data footprint.
 func TestCycleLoopAllocatesNothing(t *testing.T) {
-	kernels := map[string]func(int) *program.Program{"stores": storeLoop}
+	kernels := map[string]func(int) *program.Program{"stores": storeLoop, "l1d-set": setLoop}
 	for _, name := range []string{"exchange2", "nab"} {
 		w, err := workloads.ByName(name)
 		if err != nil {

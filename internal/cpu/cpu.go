@@ -90,6 +90,12 @@ type CPU struct {
 	divBusyUntil  uint64
 	fdivBusyUntil uint64
 
+	// quietUntil is nextEvent's bound after a cycle in which no stage
+	// acted: until that cycle only the commit stage runs. acted records
+	// that a stage changed pipeline state in the current cycle.
+	quietUntil uint64
+	acted      bool
+
 	info  CycleInfo
 	Stats Stats
 
@@ -201,12 +207,101 @@ func (c *CPU) Step() bool {
 		return true
 	}
 	c.commitStage()
+	if c.cycle < c.quietUntil && len(c.info.Committed) == 0 {
+		// A quiet cycle: the pipeline is frozen and no stage but commit
+		// can act before quietUntil, so only commit runs and every probe
+		// still sees this cycle's OnCycle.
+		c.Stats.Cycles++
+		return true
+	}
+	c.acted = len(c.info.Committed) > 0
 	c.executeStage()
 	c.issueStage()
 	c.dispatchStage()
 	c.fetchStage()
+	c.quietUntil = 0
+	if !c.acted {
+		c.quietUntil = c.nextEvent()
+	}
 	c.Stats.Cycles++
 	return true
+}
+
+// nextEvent returns the first cycle after this one at which a stage
+// other than commit can act, given that none acted this cycle. The
+// pipeline state is then frozen until some stage acts, and a stage's
+// decision can change only when a timer it compares the cycle against
+// expires, so the bound is the earliest such timer; any condition that
+// waits on no timer returns the next cycle. Commit needs no bound:
+// commitStage runs every cycle, and a cycle that commits runs every
+// stage.
+func (c *CPU) nextEvent() uint64 {
+	next := c.cycle + 1
+	at := ^uint64(0)
+	// Fetch: a mispredicted branch resolves, or the front end restarts.
+	if br := c.awaitBranch; br != nil {
+		if br.completed {
+			at = min(at, br.CompleteCycle)
+		}
+	} else if !c.streamDry && len(c.fetchBuf) < c.cfg.FetchBufEntries {
+		at = min(at, c.fetchResume)
+	}
+	// Dispatch: the fetch buffer's head leaves the front end, then waits
+	// for a queue entry; a full store queue frees when a drain ends.
+	if c.blockDispatch == nil && len(c.fetchBuf) > 0 && !c.rob.full() {
+		u := c.fetchBuf[0]
+		switch op := u.Op(); {
+		case u.FetchCycle+c.cfg.FrontEndDepth > next:
+			at = min(at, u.FetchCycle+c.cfg.FrontEndDepth)
+		case isa.IsSerializing(op):
+			if c.rob.empty() {
+				return next
+			}
+		case c.queueFull(op):
+		case !isa.IsStore(op) || !u.PSV.Has(events.DRSQ) || len(c.sq) < c.cfg.SQEntries:
+			return next
+		default:
+			for _, st := range c.sq {
+				if st.committed && st.drainStarted {
+					at = min(at, st.drainDone)
+				}
+			}
+		}
+	}
+	// Issue: a waiting µop's producers complete and its unit frees.
+	for _, iq := range [...][]*UOp{c.iqInt, c.iqMem, c.iqFP} {
+		for _, u := range iq {
+			if t, ok := u.readyAt(); ok {
+				at = min(at, max(t, c.unitFreeAt(u)))
+			}
+		}
+	}
+	// Execute: address generation, translation, then the L1D's MSHRs.
+	for _, st := range c.sq {
+		if st.issued && !st.completed {
+			at = min(at, st.aguDone)
+		}
+	}
+	l1d := c.hier.L1D()
+	for _, ld := range c.pendingLoads {
+		switch {
+		case ld.squashed:
+		case !ld.translated:
+			at = min(at, ld.aguDone)
+		case ld.tlbDone > next:
+			at = min(at, ld.tlbDone)
+		case ld.Op() == isa.OpPrefetch, c.forwarder(ld, next) != nil:
+			// A prefetch waits on LLC MSHRs, which another core
+			// sharing the LLC can free on any cycle.
+			return next
+		default:
+			at = min(at, l1d.RejectsUntil(ld.Dyn.MemAddr, next))
+		}
+	}
+	if len(c.drainQ) > 0 {
+		at = min(at, l1d.RejectsUntil(c.drainQ[0].Dyn.MemAddr, next))
+	}
+	return max(at, next)
 }
 
 // Finish fires the probes' completion hooks; call it exactly once after
@@ -482,7 +577,7 @@ func (c *CPU) issueFrom(iq []*UOp, width int) []*UOp {
 	issued := 0
 	out := iq[:0]
 	for _, u := range iq {
-		if issued >= width || !u.ready(c.cycle) || !c.unitFree(u) {
+		if issued >= width || !u.ready(c.cycle) || c.unitFreeAt(u) > c.cycle {
 			out = append(out, u)
 			continue
 		}
@@ -492,17 +587,21 @@ func (c *CPU) issueFrom(iq []*UOp, width int) []*UOp {
 	return out
 }
 
-func (c *CPU) unitFree(u *UOp) bool {
+// unitFreeAt returns the first cycle u's functional unit accepts a new
+// operation: the unpipelined dividers stay busy until their current
+// operation ends, and every other unit is pipelined.
+func (c *CPU) unitFreeAt(u *UOp) uint64 {
 	switch u.Op() {
 	case isa.OpDiv, isa.OpRem:
-		return c.divBusyUntil <= c.cycle
+		return c.divBusyUntil
 	case isa.OpFDiv, isa.OpFSqrt:
-		return c.fdivBusyUntil <= c.cycle
+		return c.fdivBusyUntil
 	}
-	return true
+	return 0
 }
 
 func (c *CPU) issueUOp(u *UOp) {
+	c.acted = true
 	u.issued = true
 	u.IssueCycle = c.cycle
 	op := u.Op()
@@ -556,31 +655,14 @@ func (c *CPU) dispatchStage() {
 			return
 		}
 
-		switch isa.ClassOf(op) {
-		case isa.ClassSystem: // nop-like (halt)
+		if c.queueFull(op) {
+			return
+		}
+		switch {
+		case isa.ClassOf(op) == isa.ClassSystem, op == isa.OpNop: // halt, nop
 			u.completed = true
 			u.CompleteCycle = c.cycle + 1
-		case isa.ClassALU, isa.ClassMulDiv, isa.ClassBranch:
-			if op == isa.OpNop {
-				u.completed = true
-				u.CompleteCycle = c.cycle + 1
-				break
-			}
-			if len(c.iqInt) >= c.cfg.IntIQEntries {
-				return
-			}
-		case isa.ClassFP, isa.ClassFPDiv:
-			if len(c.iqFP) >= c.cfg.FPIQEntries {
-				return
-			}
-		case isa.ClassLoad:
-			if len(c.iqMem) >= c.cfg.MemIQEntries || c.lqOccupancy() >= c.cfg.LQEntries {
-				return
-			}
-		case isa.ClassStore:
-			if len(c.iqMem) >= c.cfg.MemIQEntries {
-				return
-			}
+		case isa.IsStore(op):
 			if c.sqOccupancy() >= c.cfg.SQEntries {
 				// The Drained commit state this causes is explained by
 				// the DR-SQ event on the blocked store (Table 1).
@@ -608,6 +690,23 @@ func (c *CPU) dispatchStage() {
 	}
 }
 
+// queueFull reports whether op's issue queue, or for a load the load
+// queue, has no free entry; nops and halts take no queue entry. The
+// store queue frees lazily, so dispatch checks it on its own.
+func (c *CPU) queueFull(op isa.Op) bool {
+	switch isa.ClassOf(op) {
+	case isa.ClassALU, isa.ClassMulDiv, isa.ClassBranch:
+		return op != isa.OpNop && len(c.iqInt) >= c.cfg.IntIQEntries
+	case isa.ClassFP, isa.ClassFPDiv:
+		return len(c.iqFP) >= c.cfg.FPIQEntries
+	case isa.ClassLoad:
+		return len(c.iqMem) >= c.cfg.MemIQEntries || c.lqOccupancy() >= c.cfg.LQEntries
+	case isa.ClassStore:
+		return len(c.iqMem) >= c.cfg.MemIQEntries
+	}
+	return false
+}
+
 func (c *CPU) wireSources(u *UOp) {
 	s1, s2 := u.Dyn.Static.Sources()
 	if s1 != isa.NoReg && s1 != isa.RegZero {
@@ -623,6 +722,7 @@ func (c *CPU) wireSources(u *UOp) {
 }
 
 func (c *CPU) enterROB(u *UOp) {
+	c.acted = true
 	u.dispatched = true
 	u.DispatchCycle = c.cycle
 	c.rob.push(u)
@@ -649,6 +749,7 @@ func (c *CPU) sqOccupancy() int {
 			// The SQ entry was the store's last pipeline reference (it
 			// left the drain queue when the cache write started), so its
 			// storage recycles here.
+			c.acted = true
 			c.stream.RecycleInst(st.Dyn)
 			c.freeUOp(st)
 			continue
@@ -683,6 +784,7 @@ func (c *CPU) fetchStage() {
 		c.fetchResume = br.CompleteCycle + c.cfg.RedirectPenalty
 		c.awaitBranch = nil
 		c.lastLine = invalidLine
+		c.acted = true
 	}
 	if c.cycle < c.fetchResume {
 		return
@@ -702,6 +804,9 @@ func (c *CPU) fetchStage() {
 				return
 			}
 		}
+		// From here the stream has delivered d, which is either fetched
+		// or starts a line access.
+		c.acted = true
 		d := c.fetchNext
 		line := d.PC >> lineShift
 		if line != c.lastLine {

@@ -23,6 +23,7 @@ func (c *CPU) executeStores() {
 		if !st.issued || st.completed || c.cycle < st.aguDone {
 			continue
 		}
+		c.acted = true
 		miss, tdone := c.hier.TranslateData(st.Dyn.MemAddr, st.aguDone)
 		if miss {
 			st.PSV = st.PSV.Set(events.STTLB)
@@ -84,7 +85,9 @@ func (c *CPU) executeLoads() {
 		if ld.squashed {
 			continue
 		}
-		if !c.tryLoad(ld) {
+		if c.tryLoad(ld) {
+			c.acted = true
+		} else {
 			out = append(out, ld)
 		}
 	}
@@ -99,6 +102,7 @@ func (c *CPU) tryLoad(ld *UOp) bool {
 	}
 	addr := ld.Dyn.MemAddr
 	if !ld.translated {
+		c.acted = true
 		miss, tdone := c.hier.TranslateData(addr, ld.aguDone)
 		if miss {
 			ld.PSV = ld.PSV.Set(events.STTLB)
@@ -123,27 +127,7 @@ func (c *CPU) tryLoad(ld *UOp) bool {
 		return true
 	}
 
-	// Store-to-load forwarding: the youngest older store with a known
-	// (generated) address to the same word supplies the value. Older
-	// stores whose addresses are still unknown are invisible — the load
-	// speculates past them, which the violation check may later catch.
-	w := wordOf(addr)
-	var fwd *UOp
-	for _, st := range c.sq {
-		if st.Seq() >= ld.Seq() {
-			continue
-		}
-		if !st.issued || c.cycle < st.aguDone {
-			continue // address not generated yet: invisible to the LSU
-		}
-		if wordOf(st.Dyn.MemAddr) != w {
-			continue
-		}
-		if fwd == nil || st.Seq() > fwd.Seq() {
-			fwd = st
-		}
-	}
-	if fwd != nil {
+	if fwd := c.forwarder(ld, c.cycle); fwd != nil {
 		ld.completed = true
 		ld.hasValue = true
 		ld.valueFromSeq = int64(fwd.Seq())
@@ -168,6 +152,31 @@ func (c *CPU) tryLoad(ld *UOp) bool {
 	return true
 }
 
+// forwarder returns the store that forwards its value to ld at cycle,
+// or nil: the youngest older store with a known (generated) address to
+// the same word. Older stores whose addresses are still unknown are
+// invisible — the load speculates past them, which the violation check
+// may later catch.
+func (c *CPU) forwarder(ld *UOp, cycle uint64) *UOp {
+	w := wordOf(ld.Dyn.MemAddr)
+	var fwd *UOp
+	for _, st := range c.sq {
+		if st.Seq() >= ld.Seq() {
+			continue
+		}
+		if !st.issued || cycle < st.aguDone {
+			continue // address not generated yet: invisible to the LSU
+		}
+		if wordOf(st.Dyn.MemAddr) != w {
+			continue
+		}
+		if fwd == nil || st.Seq() > fwd.Seq() {
+			fwd = st
+		}
+	}
+	return fwd
+}
+
 // drainStores writes committed stores to the memory system in program
 // order, initiating at most one store per cycle; a store's SQ entry is
 // recycled when its cache write completes, which is what backs up into
@@ -181,6 +190,7 @@ func (c *CPU) drainStores() {
 	if res.Rejected {
 		return // MSHRs full: retry next cycle
 	}
+	c.acted = true
 	// Initiations are in order, one per cycle. The store deposits its
 	// data into the cache (hit) or the MSHR's write buffer (miss) and
 	// its SQ entry recycles at hit latency; a miss's line fill proceeds

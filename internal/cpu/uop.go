@@ -79,11 +79,28 @@ func (u *UOp) ready(cycle uint64) bool {
 	return srcReady(u.src1, u.src1Gen, cycle) && srcReady(u.src2, u.src2Gen, cycle)
 }
 
-// srcReady checks one source dependency. A generation mismatch means the
-// producer's storage was recycled after it committed, so the operand is
-// architecturally ready.
+// srcReady checks one source dependency, as srcReadyAt does, in a form
+// cheap enough that the issue loop inlines it.
 func srcReady(p *UOp, gen uint32, cycle uint64) bool {
 	return p == nil || p.gen != gen || (p.completed && p.CompleteCycle <= cycle)
+}
+
+// readyAt returns the first cycle both source operands are available;
+// ok is false while a producer has not completed.
+func (u *UOp) readyAt() (at uint64, ok bool) {
+	at1, ok1 := srcReadyAt(u.src1, u.src1Gen)
+	at2, ok2 := srcReadyAt(u.src2, u.src2Gen)
+	return max(at1, at2), ok1 && ok2
+}
+
+// srcReadyAt checks one source dependency. A generation mismatch means
+// the producer's storage was recycled after it committed, so the
+// operand is architecturally ready.
+func srcReadyAt(p *UOp, gen uint32) (uint64, bool) {
+	if p == nil || p.gen != gen {
+		return 0, true
+	}
+	return p.CompleteCycle, p.completed
 }
 
 // doneAt reports whether the µop has finished executing by cycle.

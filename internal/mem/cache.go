@@ -44,7 +44,9 @@ type Cache struct {
 	shift  uint // log2(LineBytes)
 	setMsk uint64
 
-	// Stats counters.
+	// Stats counters. MSHRFull counts rejected Access calls; the core
+	// does not repeat a rejected access on the cycles it knows the
+	// rejection stands (RejectsUntil), so it counts attempts, not cycles.
 	Accesses uint64
 	Misses   uint64
 	MSHRFull uint64
@@ -131,6 +133,34 @@ func (c *Cache) pendingFill(block uint64) (uint64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// RejectsUntil reports, without side effects, how long Access would
+// reject addr: Access is rejected at every cycle from cycle up to the
+// returned one, provided the cache is not accessed in between, so the
+// result is cycle itself when Access would accept now. It follows
+// Access's decision order exactly: a tag hit, then a merge with any
+// listed fill of the block (completed but unrecycled ones included),
+// never waits; otherwise the access waits while the fills outstanding
+// past the cycle hold every MSHR, that is until the earliest completes.
+func (c *Cache) RejectsUntil(addr, cycle uint64) uint64 {
+	if c.Lookup(addr) {
+		return cycle
+	}
+	if _, merged := c.pendingFill(c.BlockOf(addr)); merged {
+		return cycle
+	}
+	n, until := 0, ^uint64(0)
+	for _, m := range c.mshrs {
+		if m.ready > cycle {
+			n++
+			until = min(until, m.ready)
+		}
+	}
+	if n < c.cfg.MSHRs {
+		return cycle
+	}
+	return until
 }
 
 // AccessResult describes the outcome of a cache access.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -168,5 +169,71 @@ func TestBlockOf(t *testing.T) {
 	if c.BlockOf(0) != 0 || c.BlockOf(63) != 0 || c.BlockOf(64) != 1 || c.BlockOf(129) != 2 {
 		t.Errorf("BlockOf wrong: %d %d %d %d",
 			c.BlockOf(0), c.BlockOf(63), c.BlockOf(64), c.BlockOf(129))
+	}
+}
+
+// TestRejectsUntilAgreesWithAccess pins the core's quiet-cycle query
+// to Access's own decisions: RejectsUntil changes nothing, it reports
+// a rejection exactly when Access rejects, and Access stays rejected on
+// every cycle before the cycle it returns, then accepts.
+func TestRejectsUntilAgreesWithAccess(t *testing.T) {
+	c0 := smallCache() // 8 sets, 2 ways, 4 MSHRs
+	line := uint64(c0.Config().LineBytes)
+	setStride := uint64(c0.Config().Sets()) * line
+	a, b, cc := uint64(0), setStride, 2*setStride // one set, three tags
+	// saturate fills every MSHR with misses in sets 1-4, the i'th ready
+	// at cycle+3+100*(i+1).
+	saturate := func(c *Cache, cycle uint64, from int) {
+		for i := from; i < 4; i++ {
+			if _, ok := c.Access(uint64(i+1)*line, cycle, false, immediateFill(100*uint64(i+1))); !ok {
+				t.Fatalf("setup miss %d rejected", i)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		setup  func(c *Cache)
+		addr   uint64
+		cycle  uint64
+		reject bool
+	}{
+		{"tag hit", func(c *Cache) {
+			c.Access(a, 0, false, immediateFill(0))
+			saturate(c, 10, 0)
+		}, a, 20, false},
+		{"in-flight merge", func(c *Cache) {
+			c.Access(a, 0, false, immediateFill(500))
+			c.Access(b, 1, false, immediateFill(500))
+			c.Access(cc, 2, false, immediateFill(500)) // evicts a's line
+			saturate(c, 3, 3)
+		}, a, 20, false},
+		{"stale-entry merge", func(c *Cache) {
+			c.Access(a, 0, false, immediateFill(0)) // fill done at 3
+			c.Access(b, 1, false, immediateFill(500))
+			c.Access(cc, 2, false, immediateFill(500)) // evicts a's line
+		}, a, 50, false},
+		{"MSHRs full", func(c *Cache) { saturate(c, 10, 0) }, 0x9000, 20, true},
+		{"MSHR free", func(c *Cache) { saturate(c, 10, 1) }, 0x9000, 20, false},
+		{"MSHR freed by a completed fill", func(c *Cache) { saturate(c, 10, 0) }, 0x9000, 113, false},
+	} {
+		c := smallCache()
+		tc.setup(c)
+		before := fmt.Sprint(*c)
+		until := c.RejectsUntil(tc.addr, tc.cycle)
+		if after := fmt.Sprint(*c); after != before {
+			t.Errorf("%s: RejectsUntil changed the cache", tc.name)
+		}
+		if got := until != tc.cycle; got != tc.reject {
+			t.Errorf("%s: RejectsUntil(%#x, %d) = %d, want rejected %v", tc.name, tc.addr, tc.cycle, until, tc.reject)
+			continue
+		}
+		for cy := tc.cycle; cy < until; cy++ {
+			if _, ok := c.Access(tc.addr, cy, false, immediateFill(50)); ok {
+				t.Fatalf("%s: Access accepted at %d, before RejectsUntil's %d", tc.name, cy, until)
+			}
+		}
+		if _, ok := c.Access(tc.addr, until, false, immediateFill(50)); !ok {
+			t.Errorf("%s: Access rejected at %d, where RejectsUntil said it accepts", tc.name, until)
+		}
 	}
 }

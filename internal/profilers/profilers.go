@@ -214,21 +214,15 @@ type Counters struct {
 	cpu.BaseProbe
 	// Counts maps PC -> per-event dynamic occurrence counts.
 	Counts map[uint64]*[events.NumEvents]uint64
-	// Executions counts committed dynamic executions per PC.
-	Executions map[uint64]uint64
 }
 
 // NewCounters builds the counting probe.
 func NewCounters() *Counters {
-	return &Counters{
-		Counts:     make(map[uint64]*[events.NumEvents]uint64),
-		Executions: make(map[uint64]uint64),
-	}
+	return &Counters{Counts: make(map[uint64]*[events.NumEvents]uint64)}
 }
 
 // OnCommit counts the committed instruction's events.
 func (c *Counters) OnCommit(r cpu.Ref, cycle uint64) {
-	c.Executions[r.PC]++
 	if r.PSV == 0 {
 		return
 	}
