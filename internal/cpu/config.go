@@ -141,16 +141,6 @@ func (c *Config) Latency(op isa.Op) uint64 {
 	return c.ALULatency
 }
 
-// Unpipelined reports whether the opcode occupies its functional unit
-// for its full latency.
-func Unpipelined(op isa.Op) bool {
-	switch op {
-	case isa.OpDiv, isa.OpRem, isa.OpFDiv, isa.OpFSqrt:
-		return true
-	}
-	return false
-}
-
 // Describe renders the configuration in the style of Table 2 of the
 // paper; cmd/teaexp tab2 prints it.
 func (c *Config) Describe() string {

@@ -99,11 +99,6 @@ type CPU struct {
 	info  CycleInfo
 	Stats Stats
 
-	// MaxCycles aborts runaway simulations with simerr.ErrRunaway.
-	MaxCycles uint64
-	// WatchdogCommitCycles aborts runs that stop committing with
-	// simerr.ErrDeadlock (the forward-progress watchdog).
-	WatchdogCommitCycles uint64
 	// lastCommitCycle is the watchdog anchor: the most recent cycle an
 	// instruction committed (0 before the first commit).
 	lastCommitCycle uint64
@@ -118,6 +113,8 @@ type CPU struct {
 }
 
 // New builds a core for the given program with a private memory system.
+// A zero guard limit in cfg (MaxCycles, WatchdogCommitCycles) selects
+// its package default.
 func New(cfg Config, p *program.Program) *CPU {
 	return NewWithHierarchy(cfg, p, mem.NewHierarchy(cfg.Mem))
 }
@@ -126,26 +123,23 @@ func New(cfg Config, p *program.Program) *CPU {
 // multi-core systems pass per-core hierarchies that share an LLC and
 // DRAM (mem.NewHierarchyShared).
 func NewWithHierarchy(cfg Config, p *program.Program, h *mem.Hierarchy) *CPU {
-	c := &CPU{
-		cfg:                  cfg,
-		prog:                 p,
-		stream:               emu.NewStream(p),
-		hier:                 h,
-		bp:                   branch.New(cfg.BP),
-		rob:                  newROB(cfg.ROBEntries),
-		fetchArr:             make([]*UOp, cfg.FetchBufEntries+cfg.FetchWidth),
-		drainArr:             make([]*UOp, cfg.SQEntries),
-		lastLine:             invalidLine,
-		MaxCycles:            cfg.MaxCycles,
-		WatchdogCommitCycles: cfg.WatchdogCommitCycles,
+	if cfg.MaxCycles == 0 {
+		cfg.MaxCycles = DefaultMaxCycles
 	}
-	if c.MaxCycles == 0 {
-		c.MaxCycles = DefaultMaxCycles
+	if cfg.WatchdogCommitCycles == 0 {
+		cfg.WatchdogCommitCycles = DefaultWatchdogCommitCycles
 	}
-	if c.WatchdogCommitCycles == 0 {
-		c.WatchdogCommitCycles = DefaultWatchdogCommitCycles
+	return &CPU{
+		cfg:      cfg,
+		prog:     p,
+		stream:   emu.NewStream(p),
+		hier:     h,
+		bp:       branch.New(cfg.BP),
+		rob:      newROB(cfg.ROBEntries),
+		fetchArr: make([]*UOp, cfg.FetchBufEntries+cfg.FetchWidth),
+		drainArr: make([]*UOp, cfg.SQEntries),
+		lastLine: invalidLine,
 	}
-	return c
 }
 
 // Default guard thresholds. The longest legitimate commit gap on the
@@ -189,14 +183,14 @@ func (c *CPU) Step() bool {
 		return false
 	}
 	c.cycle++
-	if c.cycle > c.MaxCycles {
+	if c.cycle > c.cfg.MaxCycles {
 		c.err = simerr.New(simerr.ErrRunaway, c.snapshot(),
-			"program %q exceeded %d cycles", c.prog.Name, c.MaxCycles)
+			"program %q exceeded %d cycles", c.prog.Name, c.cfg.MaxCycles)
 		return false
 	}
-	if c.cycle-c.lastCommitCycle > c.WatchdogCommitCycles {
+	if c.cycle-c.lastCommitCycle > c.cfg.WatchdogCommitCycles {
 		c.err = simerr.New(simerr.ErrDeadlock, c.snapshot(),
-			"program %q committed nothing for %d cycles", c.prog.Name, c.WatchdogCommitCycles)
+			"program %q committed nothing for %d cycles", c.prog.Name, c.cfg.WatchdogCommitCycles)
 		return false
 	}
 	if c.pendingOverhead > 0 {
@@ -276,30 +270,32 @@ func (c *CPU) nextEvent() uint64 {
 			}
 		}
 	}
-	// Execute: address generation, translation, then the L1D's MSHRs.
+	// Execute: address generation, translation, then the L1D's MSHRs. A
+	// load in the default case, like the drain queue's head, tried the
+	// L1D this cycle and was rejected; it kept the cycle the rejection
+	// reported an MSHR frees.
 	for _, st := range c.sq {
 		if st.issued && !st.completed {
 			at = min(at, st.aguDone)
 		}
 	}
-	l1d := c.hier.L1D()
 	for _, ld := range c.pendingLoads {
 		switch {
 		case ld.squashed:
 		case !ld.translated:
 			at = min(at, ld.aguDone)
-		case ld.tlbDone > next:
+		case ld.tlbDone > c.cycle:
 			at = min(at, ld.tlbDone)
 		case ld.Op() == isa.OpPrefetch, c.forwarder(ld, next) != nil:
 			// A prefetch waits on LLC MSHRs, which another core
 			// sharing the LLC can free on any cycle.
 			return next
 		default:
-			at = min(at, l1d.RejectsUntil(ld.Dyn.MemAddr, next))
+			at = min(at, ld.retryAt)
 		}
 	}
 	if len(c.drainQ) > 0 {
-		at = min(at, l1d.RejectsUntil(c.drainQ[0].Dyn.MemAddr, next))
+		at = min(at, c.drainQ[0].retryAt)
 	}
 	return max(at, next)
 }
@@ -443,7 +439,11 @@ func (c *CPU) commitStage() {
 				}
 				ser := isa.IsSerializing(u.Op())
 				if ser {
-					c.serializingFlush(u)
+					// The pipeline flush of a serializing CSR access (the
+					// nab case study's fsflags/frflags): it dispatched
+					// alone into an empty ROB and blocked dispatch, so
+					// everything younger is still in the fetch buffer.
+					c.squashYoungerThan(u)
 				}
 				// Stores stay live in the SQ until their post-commit
 				// cache write finishes; everything else recycles now.
@@ -498,9 +498,7 @@ func (c *CPU) retireUOp(u *UOp) {
 		// fetchStage would resolve the redirect later this same cycle
 		// (the branch is provably done); do it here before the storage
 		// is recycled.
-		c.fetchResume = u.CompleteCycle + c.cfg.RedirectPenalty
-		c.awaitBranch = nil
-		c.lastLine = invalidLine
+		c.redirect(u)
 	}
 	c.stream.RecycleInst(u.Dyn)
 	c.freeUOp(u)
@@ -529,30 +527,12 @@ func (c *CPU) freeUOp(u *UOp) {
 	c.freeUOps = append(c.freeUOps, u)
 }
 
-// serializingFlush implements the pipeline flush a serializing CSR
-// instruction performs at commit (the nab case study's fsflags/frflags
-// behavior): everything fetched behind it is thrown away and the
-// front-end refetches after the redirect penalty.
-func (c *CPU) serializingFlush(u *UOp) {
-	for _, f := range c.fetchBuf {
-		f.squashed = true
-		c.Stats.Squashed++
-		r := f.Ref()
-		for _, p := range c.probes {
-			p.OnSquash(r, c.cycle)
-		}
-		// The dynamic record stays in the stream buffer for re-delivery
-		// after the rewind; only the shell recycles.
-		c.freeUOp(f)
-	}
-	c.fetchBuf = c.fetchBuf[:0]
-	c.fetchNext = nil
-	c.stream.Rewind(u.Seq() + 1)
-	c.streamDry = false
+// redirect restarts fetch after the mispredicted branch br resolves:
+// the front end refills for the redirect penalty.
+func (c *CPU) redirect(br *UOp) {
+	c.fetchResume = br.CompleteCycle + c.cfg.RedirectPenalty
 	c.awaitBranch = nil
-	c.pendDRL1, c.pendDRTLB = false, false
 	c.lastLine = invalidLine
-	c.fetchResume = c.cycle + c.cfg.RedirectPenalty
 }
 
 // ---------------------------------------------------------------------------
@@ -587,15 +567,25 @@ func (c *CPU) issueFrom(iq []*UOp, width int) []*UOp {
 	return out
 }
 
-// unitFreeAt returns the first cycle u's functional unit accepts a new
-// operation: the unpipelined dividers stay busy until their current
-// operation ends, and every other unit is pipelined.
-func (c *CPU) unitFreeAt(u *UOp) uint64 {
-	switch u.Op() {
+// unpipelined returns the busy-until cycle of the unpipelined unit op
+// holds for its whole latency (the integer or the floating-point
+// divider) for issue to read and set, or nil when op's unit is
+// pipelined.
+func (c *CPU) unpipelined(op isa.Op) *uint64 {
+	switch op {
 	case isa.OpDiv, isa.OpRem:
-		return c.divBusyUntil
+		return &c.divBusyUntil
 	case isa.OpFDiv, isa.OpFSqrt:
-		return c.fdivBusyUntil
+		return &c.fdivBusyUntil
+	}
+	return nil
+}
+
+// unitFreeAt returns the first cycle u's functional unit accepts a new
+// operation.
+func (c *CPU) unitFreeAt(u *UOp) uint64 {
+	if busy := c.unpipelined(u.Op()); busy != nil {
+		return *busy
 	}
 	return 0
 }
@@ -615,11 +605,8 @@ func (c *CPU) issueUOp(u *UOp) {
 		lat := c.cfg.Latency(op)
 		u.completed = true
 		u.CompleteCycle = c.cycle + lat
-		switch op {
-		case isa.OpDiv, isa.OpRem:
-			c.divBusyUntil = c.cycle + lat
-		case isa.OpFDiv, isa.OpFSqrt:
-			c.fdivBusyUntil = c.cycle + lat
+		if busy := c.unpipelined(op); busy != nil {
+			*busy = u.CompleteCycle
 		}
 	}
 }
@@ -781,19 +768,14 @@ func (c *CPU) fetchStage() {
 		if !br.doneAt(c.cycle) {
 			return
 		}
-		c.fetchResume = br.CompleteCycle + c.cfg.RedirectPenalty
-		c.awaitBranch = nil
-		c.lastLine = invalidLine
+		c.redirect(br)
 		c.acted = true
 	}
 	if c.cycle < c.fetchResume {
 		return
 	}
 	hitLat := c.cfg.Mem.L1I.HitLatency
-	lineShift := uint(6)
-	for lb := c.cfg.Mem.L1I.LineBytes; lb > 64; lb >>= 1 {
-		lineShift++
-	}
+	l1i := c.hier.L1I()
 	budget := c.cfg.FetchWidth
 	c.fetchBuf = refill(c.fetchBuf, c.fetchArr, budget)
 	for budget > 0 && len(c.fetchBuf) < c.cfg.FetchBufEntries {
@@ -808,8 +790,7 @@ func (c *CPU) fetchStage() {
 		// or starts a line access.
 		c.acted = true
 		d := c.fetchNext
-		line := d.PC >> lineShift
-		if line != c.lastLine {
+		if line := l1i.BlockOf(d.PC); line != c.lastLine {
 			res := c.hier.Fetch(d.PC, c.cycle)
 			c.lastLine = line
 			if res.L1Miss {

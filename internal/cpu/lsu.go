@@ -137,7 +137,8 @@ func (c *CPU) tryLoad(ld *UOp) bool {
 
 	res := c.hier.Data(addr, c.cycle, false)
 	if res.Rejected {
-		return false // L1D MSHRs full: retry next cycle
+		ld.retryAt = res.Done // L1D MSHRs full: retry next cycle
+		return false
 	}
 	if res.L1Miss {
 		ld.PSV = ld.PSV.Set(events.STL1)
@@ -188,7 +189,8 @@ func (c *CPU) drainStores() {
 	st := c.drainQ[0]
 	res := c.hier.Data(st.Dyn.MemAddr, c.cycle, true)
 	if res.Rejected {
-		return // MSHRs full: retry next cycle
+		st.retryAt = res.Done // MSHRs full: retry next cycle
+		return
 	}
 	c.acted = true
 	// Initiations are in order, one per cycle. The store deposits its

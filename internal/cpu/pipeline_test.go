@@ -87,6 +87,22 @@ func (p *inFlightProbe) OnSquash(r Ref, cy uint64) {
 	}
 }
 
+// TestFetchAccessesL1IOncePerLine pins fetch's line tracking to the
+// L1I's own geometry: straight-line code accesses the L1I once per
+// line, also for lines shorter than 64 bytes.
+func TestFetchAccessesL1IOncePerLine(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Mem.L1I.LineBytes = 32
+	cfg.Mem.NextLinePrefetch = false
+	p := straightALU(256) // with the halt, 257 instructions: 1,028 bytes
+	c := New(cfg, p)
+	c.Run()
+	const want = 33 // 32-byte lines from the line-aligned CodeBase
+	if got := c.Hierarchy().L1I().Accesses; got != want {
+		t.Errorf("%d L1I accesses for %d instructions, want %d (one per 32-byte line)", got, len(p.Insts), want)
+	}
+}
+
 func TestUnpipelinedDividerSerializes(t *testing.T) {
 	// Independent divides share one unpipelined unit: n divides take at
 	// least n * DivLatency cycles.

@@ -124,6 +124,7 @@ func TestQuietSkipMatchesFullStep(t *testing.T) {
 	cases := []quietCase{
 		{name: "l1d-mshrs-loads", prog: missLoop(false, 30), saturates: "L1D"},
 		{name: "l1d-mshrs-drain", prog: missLoop(true, 30), saturates: "L1D"},
+		{name: "l1d-mshrs-translation", prog: pageMissLoop(30), saturates: "L1D"},
 		{name: "div-fdiv", prog: divLoop(120)},
 		{name: "csrflush", prog: flushLoop(100)},
 		// A one-cycle branch resolves the cycle after it issues, which
@@ -227,6 +228,28 @@ func missLoop(stores bool, iters int) *program.Program {
 		}
 	}
 	b.Addi(isa.X(1), isa.X(1), 32*64)
+	b.Addi(isa.X(2), isa.X(2), 1)
+	b.Blt(isa.X(2), isa.X(3), "top")
+	b.Halt()
+	return b.MustBuild()
+}
+
+// pageMissLoop issues 32 loads per iteration, each to a fresh page and
+// line, so translations (page walks) complete while the earlier loads'
+// misses hold every L1D MSHR.
+func pageMissLoop(iters int) *program.Program {
+	const stride = 4096 + 64 // a new page, and a new L1D set
+	b := program.NewBuilder("pagemissloop")
+	base := b.Alloc(uint64(iters+1)*32*stride, 4096)
+	b.Func("main")
+	b.MoviU(isa.X(1), base)
+	b.Movi(isa.X(2), 0)
+	b.Movi(isa.X(3), int64(iters))
+	b.Label("top")
+	for i := int64(0); i < 32; i++ {
+		b.Load(isa.X(4+int(i%8)), isa.X(1), i*stride)
+	}
+	b.Addi(isa.X(1), isa.X(1), 32*stride)
 	b.Addi(isa.X(2), isa.X(2), 1)
 	b.Blt(isa.X(2), isa.X(3), "top")
 	b.Halt()

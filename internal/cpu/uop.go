@@ -51,6 +51,9 @@ type UOp struct {
 	aguDone    uint64 // cycle the effective address is available
 	translated bool
 	tlbDone    uint64
+	// retryAt is the first cycle an L1D MSHR frees, as reported by the
+	// latest rejected access of this load or draining store.
+	retryAt uint64
 	// valueFromSeq is the sequence number of the store a load forwarded
 	// from, or -1 when the value came from the cache.
 	valueFromSeq int64

@@ -5,7 +5,11 @@
 // configuration follows Table 2 of the paper.
 package mem
 
-import "repro/internal/simerr"
+import (
+	"math/bits"
+
+	"repro/internal/simerr"
+)
 
 // CacheConfig describes one cache level.
 type CacheConfig struct {
@@ -37,16 +41,17 @@ type mshr struct {
 // returns the cycle its data becomes available, and misses occupy an
 // MSHR until their fill completes.
 type Cache struct {
-	cfg    CacheConfig
-	sets   [][]line
-	mshrs  []mshr
-	stamp  uint64
-	shift  uint // log2(LineBytes)
-	setMsk uint64
+	cfg      CacheConfig
+	sets     [][]line
+	mshrs    []mshr
+	stamp    uint64
+	shift    uint // byte address to block: the line-offset bits
+	tagShift uint // block to tag: the set-index bits
+	setMsk   uint64
 
 	// Stats counters. MSHRFull counts rejected Access calls; the core
-	// does not repeat a rejected access on the cycles it knows the
-	// rejection stands (RejectsUntil), so it counts attempts, not cycles.
+	// does not repeat a rejected access before the retry cycle the
+	// rejection reported, so it counts attempts, not cycles.
 	Accesses uint64
 	Misses   uint64
 	MSHRFull uint64
@@ -66,12 +71,15 @@ func NewCache(cfg CacheConfig) *Cache {
 			"mem: cache %q set count must be a positive power of two (size %d, ways %d, line %d)",
 			cfg.Name, cfg.SizeBytes, cfg.Ways, cfg.LineBytes))
 	}
-	c := &Cache{cfg: cfg, sets: make([][]line, sets), setMsk: uint64(sets - 1)}
+	c := &Cache{
+		cfg:      cfg,
+		sets:     make([][]line, sets),
+		shift:    uint(bits.Len(uint(cfg.LineBytes)) - 1),
+		tagShift: uint(bits.Len(uint(sets - 1))),
+		setMsk:   uint64(sets - 1),
+	}
 	for i := range c.sets {
 		c.sets[i] = make([]line, cfg.Ways)
-	}
-	for b := cfg.LineBytes; b > 1; b >>= 1 {
-		c.shift++
 	}
 	return c
 }
@@ -83,16 +91,7 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 func (c *Cache) BlockOf(addr uint64) uint64 { return addr >> c.shift }
 
 func (c *Cache) setOf(block uint64) []line { return c.sets[block&c.setMsk] }
-func (c *Cache) tagOf(block uint64) uint64 { return block >> uint(popShift(c.setMsk)) }
-
-func popShift(mask uint64) int {
-	n := 0
-	for mask != 0 {
-		n++
-		mask >>= 1
-	}
-	return n
-}
+func (c *Cache) tagOf(block uint64) uint64 { return block >> c.tagShift }
 
 // Lookup reports whether the block is present without touching LRU
 // state or statistics (used by tests and the software-prefetch probe).
@@ -108,20 +107,22 @@ func (c *Cache) Lookup(addr uint64) bool {
 	return false
 }
 
-// activeMSHRs counts fills still outstanding at the given cycle and
-// recycles completed entries.
-func (c *Cache) activeMSHRs(cycle uint64) int {
-	n := 0
+// activeMSHRs counts fills still outstanding at the given cycle,
+// recycles completed entries, and returns the first cycle an
+// outstanding fill completes and frees its MSHR.
+func (c *Cache) activeMSHRs(cycle uint64) (n int, free uint64) {
+	free = ^uint64(0)
 	for i := 0; i < len(c.mshrs); {
-		if c.mshrs[i].ready > cycle {
+		if r := c.mshrs[i].ready; r > cycle {
 			n++
+			free = min(free, r)
 			i++
 		} else {
 			c.mshrs[i] = c.mshrs[len(c.mshrs)-1]
 			c.mshrs = c.mshrs[:len(c.mshrs)-1]
 		}
 	}
-	return n
+	return n, free
 }
 
 // pendingFill returns the ready cycle of an outstanding fill of block,
@@ -135,37 +136,10 @@ func (c *Cache) pendingFill(block uint64) (uint64, bool) {
 	return 0, false
 }
 
-// RejectsUntil reports, without side effects, how long Access would
-// reject addr: Access is rejected at every cycle from cycle up to the
-// returned one, provided the cache is not accessed in between, so the
-// result is cycle itself when Access would accept now. It follows
-// Access's decision order exactly: a tag hit, then a merge with any
-// listed fill of the block (completed but unrecycled ones included),
-// never waits; otherwise the access waits while the fills outstanding
-// past the cycle hold every MSHR, that is until the earliest completes.
-func (c *Cache) RejectsUntil(addr, cycle uint64) uint64 {
-	if c.Lookup(addr) {
-		return cycle
-	}
-	if _, merged := c.pendingFill(c.BlockOf(addr)); merged {
-		return cycle
-	}
-	n, until := 0, ^uint64(0)
-	for _, m := range c.mshrs {
-		if m.ready > cycle {
-			n++
-			until = min(until, m.ready)
-		}
-	}
-	if n < c.cfg.MSHRs {
-		return cycle
-	}
-	return until
-}
-
 // AccessResult describes the outcome of a cache access.
 type AccessResult struct {
-	// Done is the cycle the data is available to the requester.
+	// Done is the cycle the data is available to the requester; for a
+	// rejected access, the first cycle an MSHR frees.
 	Done uint64
 	// Miss reports whether the access missed in this cache.
 	Miss bool
@@ -174,11 +148,13 @@ type AccessResult struct {
 }
 
 // Access performs a read or write-allocate access to the block holding
-// addr at the given cycle. fill is invoked on a (primary) miss and must
-// return the cycle the next level delivers the line. Access returns
-// ok=false without side effects if the miss cannot allocate an MSHR;
-// the caller must retry later.
-func (c *Cache) Access(addr, cycle uint64, write bool, fill func(block, cycle uint64) uint64) (AccessResult, bool) {
+// addr at the given cycle. fill is invoked on a (primary) miss with the
+// address of the line and must return the cycle the next level delivers
+// it. Access returns ok=false, allocating nothing, if the miss cannot
+// allocate an MSHR; Done then reports the first cycle an MSHR frees.
+// Until that cycle the same access is rejected again, provided no other
+// access changes the cache in between; the caller must retry.
+func (c *Cache) Access(addr, cycle uint64, write bool, fill func(line, cycle uint64) uint64) (AccessResult, bool) {
 	block := c.BlockOf(addr)
 	set := c.setOf(block)
 	tag := c.tagOf(block)
@@ -204,22 +180,26 @@ func (c *Cache) Access(addr, cycle uint64, write bool, fill func(block, cycle ui
 
 	// Tag miss. If the block was evicted while its fill is still in
 	// flight, merge with the outstanding fill instead of allocating a
-	// fresh MSHR.
+	// fresh MSHR. Known quirk, kept as is: the entry may be a fill that
+	// completed long ago but is still listed (entries leave the list
+	// only when a primary miss counts MSHRs), so a line evicted by set
+	// conflicts comes back at hit latency without a fill.
 	if ready, merged := c.pendingFill(block); merged {
 		c.Accesses++
 		c.Misses++
 		c.install(block, write)
-		return AccessResult{Done: maxU64(ready, cycle+c.cfg.HitLatency), Miss: true}, true
+		return AccessResult{Done: max(ready, cycle+c.cfg.HitLatency), Miss: true}, true
 	}
 
-	if c.activeMSHRs(cycle) >= c.cfg.MSHRs {
+	n, free := c.activeMSHRs(cycle)
+	if n >= c.cfg.MSHRs {
 		c.MSHRFull++
-		return AccessResult{}, false
+		return AccessResult{Done: free}, false
 	}
 
 	c.Accesses++
 	c.Misses++
-	ready := fill(block, cycle+c.cfg.HitLatency)
+	ready := fill(block<<c.shift, cycle+c.cfg.HitLatency)
 	c.PrimaryMisses++
 	c.FillLatencySum += ready - cycle
 	c.mshrs = append(c.mshrs, mshr{block: block, ready: ready})
@@ -253,11 +233,4 @@ func (c *Cache) MissRate() float64 {
 		return 0
 	}
 	return float64(c.Misses) / float64(c.Accesses)
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

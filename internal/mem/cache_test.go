@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -14,7 +13,7 @@ func smallCache() *Cache {
 }
 
 // immediateFill returns a fill function with a fixed miss penalty.
-func immediateFill(penalty uint64) func(block, cycle uint64) uint64 {
+func immediateFill(penalty uint64) func(line, cycle uint64) uint64 {
 	return func(_, c uint64) uint64 { return c + penalty }
 }
 
@@ -49,7 +48,7 @@ func TestCacheSecondaryMissWaitsForFill(t *testing.T) {
 	if r2.Done != r1.Done {
 		t.Errorf("secondary miss Done = %d, want fill completion %d", r2.Done, r1.Done)
 	}
-	if got := c.activeMSHRs(110); got != 1 {
+	if got, _ := c.activeMSHRs(110); got != 1 {
 		t.Errorf("secondary miss allocated an MSHR: active=%d, want 1", got)
 	}
 }
@@ -172,68 +171,62 @@ func TestBlockOf(t *testing.T) {
 	}
 }
 
-// TestRejectsUntilAgreesWithAccess pins the core's quiet-cycle query
-// to Access's own decisions: RejectsUntil changes nothing, it reports
-// a rejection exactly when Access rejects, and Access stays rejected on
-// every cycle before the cycle it returns, then accepts.
-func TestRejectsUntilAgreesWithAccess(t *testing.T) {
-	c0 := smallCache() // 8 sets, 2 ways, 4 MSHRs
-	line := uint64(c0.Config().LineBytes)
-	setStride := uint64(c0.Config().Sets()) * line
-	a, b, cc := uint64(0), setStride, 2*setStride // one set, three tags
-	// saturate fills every MSHR with misses in sets 1-4, the i'th ready
-	// at cycle+3+100*(i+1).
-	saturate := func(c *Cache, cycle uint64, from int) {
-		for i := from; i < 4; i++ {
-			if _, ok := c.Access(uint64(i+1)*line, cycle, false, immediateFill(100*uint64(i+1))); !ok {
+// TestAccessReportsRetryCycle pins the retry cycle a rejected Access
+// reports, which the core sleeps until: with every MSHR holding an
+// outstanding fill, the rejection names the earliest fill's completion,
+// the same access is rejected with the same report on every cycle
+// before it, and it is accepted on that cycle. A tag hit, a merge with
+// an in-flight fill and a miss with an MSHR free are never rejected.
+func TestAccessReportsRetryCycle(t *testing.T) {
+	line := uint64(64)
+	// saturate misses on n of lines 1-4 (sets 1-4) at cycle 10; with
+	// all four, the fills complete at 313, 113, 413 and 213.
+	saturate := func(c *Cache, n int) {
+		for i, penalty := range []uint64{300, 100, 400, 200}[:n] {
+			if _, ok := c.Access(uint64(i+1)*line, 10, false, immediateFill(penalty)); !ok {
 				t.Fatalf("setup miss %d rejected", i)
 			}
 		}
 	}
+
+	c := smallCache() // 8 sets, 2 ways, 4 MSHRs, hit latency 3
+	saturate(c, 4)
+	const addr, retry = 0x9000, 113
+	for cy := uint64(10); cy < retry; cy++ {
+		if r, ok := c.Access(addr, cy, false, immediateFill(50)); ok || r.Done != retry {
+			t.Fatalf("access at %d: ok=%v Done=%d, want rejected until %d", cy, ok, r.Done, retry)
+		}
+	}
+	if c.MSHRFull != retry-10 {
+		t.Errorf("MSHRFull = %d, want one per rejected attempt (%d)", c.MSHRFull, retry-10)
+	}
+	if r, ok := c.Access(addr, retry, false, immediateFill(50)); !ok || r.Done != retry+3+50 {
+		t.Errorf("access at the reported cycle: ok=%v Done=%d, want a miss done at %d", ok, r.Done, retry+3+50)
+	}
+
+	setStride := uint64(c.Config().Sets()) * line
+	a, b, cc := uint64(0), setStride, 2*setStride // one set, three tags
 	for _, tc := range []struct {
-		name   string
-		setup  func(c *Cache)
-		addr   uint64
-		cycle  uint64
-		reject bool
+		name  string
+		setup func(c *Cache)
+		done  uint64 // at cycle 20
 	}{
 		{"tag hit", func(c *Cache) {
 			c.Access(a, 0, false, immediateFill(0))
-			saturate(c, 10, 0)
-		}, a, 20, false},
+			saturate(c, 4)
+		}, 23},
 		{"in-flight merge", func(c *Cache) {
 			c.Access(a, 0, false, immediateFill(500))
 			c.Access(b, 1, false, immediateFill(500))
 			c.Access(cc, 2, false, immediateFill(500)) // evicts a's line
-			saturate(c, 3, 3)
-		}, a, 20, false},
-		{"stale-entry merge", func(c *Cache) {
-			c.Access(a, 0, false, immediateFill(0)) // fill done at 3
-			c.Access(b, 1, false, immediateFill(500))
-			c.Access(cc, 2, false, immediateFill(500)) // evicts a's line
-		}, a, 50, false},
-		{"MSHRs full", func(c *Cache) { saturate(c, 10, 0) }, 0x9000, 20, true},
-		{"MSHR free", func(c *Cache) { saturate(c, 10, 1) }, 0x9000, 20, false},
-		{"MSHR freed by a completed fill", func(c *Cache) { saturate(c, 10, 0) }, 0x9000, 113, false},
+			saturate(c, 1)
+		}, 503},
+		{"MSHR free", func(c *Cache) { saturate(c, 3) }, 73},
 	} {
 		c := smallCache()
 		tc.setup(c)
-		before := fmt.Sprint(*c)
-		until := c.RejectsUntil(tc.addr, tc.cycle)
-		if after := fmt.Sprint(*c); after != before {
-			t.Errorf("%s: RejectsUntil changed the cache", tc.name)
-		}
-		if got := until != tc.cycle; got != tc.reject {
-			t.Errorf("%s: RejectsUntil(%#x, %d) = %d, want rejected %v", tc.name, tc.addr, tc.cycle, until, tc.reject)
-			continue
-		}
-		for cy := tc.cycle; cy < until; cy++ {
-			if _, ok := c.Access(tc.addr, cy, false, immediateFill(50)); ok {
-				t.Fatalf("%s: Access accepted at %d, before RejectsUntil's %d", tc.name, cy, until)
-			}
-		}
-		if _, ok := c.Access(tc.addr, until, false, immediateFill(50)); !ok {
-			t.Errorf("%s: Access rejected at %d, where RejectsUntil said it accepts", tc.name, until)
+		if r, ok := c.Access(a, 20, false, immediateFill(50)); !ok || r.Done != tc.done {
+			t.Errorf("%s: ok=%v Done=%d, want accepted and done at %d", tc.name, ok, r.Done, tc.done)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 // Read returns the cycle a line read requested at cycle completes.
 func (d *DRAM) Read(cycle uint64) uint64 {
 	d.Reads++
-	start := maxU64(cycle, d.nextSlot)
+	start := max(cycle, d.nextSlot)
 	d.nextSlot = start + d.cfg.CyclesPerLine
 	return start + d.cfg.Latency
 }
@@ -38,7 +38,7 @@ func (d *DRAM) Read(cycle uint64) uint64 {
 // fire-and-forget for the core).
 func (d *DRAM) Write(cycle uint64) {
 	d.Writes++
-	start := maxU64(cycle, d.nextSlot)
+	start := max(cycle, d.nextSlot)
 	d.nextSlot = start + d.cfg.CyclesPerLine
 }
 
@@ -127,12 +127,10 @@ func (h *Hierarchy) DTLB() *TLB      { return h.dtlb }
 func (h *Hierarchy) Walker() *Walker { return h.walk }
 func (h *Hierarchy) DRAM() *DRAM     { return h.dram }
 
-// llcFill services an L1 miss: access the LLC, going to DRAM on an LLC
-// miss. It returns the cycle the line reaches the L1 and whether the
-// LLC missed.
-func (h *Hierarchy) llcFill(addrOfBlock func(uint64) uint64, block, cycle uint64) (uint64, bool) {
-	// Reconstruct a byte address within the block for LLC indexing.
-	addr := addrOfBlock(block)
+// llcFill services an L1 miss of the line at addr: access the LLC,
+// going to DRAM on an LLC miss. It returns the cycle the line reaches
+// the L1 and whether the LLC missed.
+func (h *Hierarchy) llcFill(addr, cycle uint64) (uint64, bool) {
 	res, ok := h.llc.Access(addr, cycle, false, func(_, c uint64) uint64 {
 		return h.dram.Read(c)
 	})
@@ -174,22 +172,17 @@ func (h *Hierarchy) Fetch(pc, cycle uint64) FetchResult {
 		r.TLBMiss = true
 		start += h.walk.Resolve(pc)
 	}
-	res, ok := h.l1i.Access(pc, start, false, func(block, c uint64) uint64 {
-		done, llcMiss := h.llcFill(h.blockAddrI, block, c)
+	fill := func(line, c uint64) uint64 {
+		done, llcMiss := h.llcFill(line, c)
 		if llcMiss {
 			r.LLCMiss = true
 		}
 		return done
-	})
+	}
+	res, ok := h.l1i.Access(pc, start, false, fill)
 	if !ok {
 		// I-side MSHRs exhausted; retry after a line interval.
-		res, ok = h.l1i.Access(pc, start+h.cfg.DRAM.CyclesPerLine, false, func(block, c uint64) uint64 {
-			done, llcMiss := h.llcFill(h.blockAddrI, block, c)
-			if llcMiss {
-				r.LLCMiss = true
-			}
-			return done
-		})
+		res, ok = h.l1i.Access(pc, start+h.cfg.DRAM.CyclesPerLine, false, fill)
 		if !ok {
 			res = AccessResult{Done: start + h.cfg.DRAM.Latency, Miss: true}
 		}
@@ -203,8 +196,8 @@ func (h *Hierarchy) Fetch(pc, cycle uint64) FetchResult {
 		// pressure drops the request, as hardware prefetchers do.
 		next := pc + uint64(h.cfg.L1I.LineBytes)
 		if !h.l1i.Lookup(next) {
-			h.l1i.Access(next, start, false, func(block, c uint64) uint64 {
-				done, _ := h.llcFill(h.blockAddrI, block, c)
+			h.l1i.Access(next, start, false, func(line, c uint64) uint64 {
+				done, _ := h.llcFill(line, c)
 				return done
 			})
 		}
@@ -212,32 +205,13 @@ func (h *Hierarchy) Fetch(pc, cycle uint64) FetchResult {
 	return r
 }
 
-func (h *Hierarchy) blockAddrI(block uint64) uint64 {
-	return block << uint(h.l1iShift())
-}
-func (h *Hierarchy) blockAddrD(block uint64) uint64 {
-	return block << uint(h.l1dShift())
-}
-func (h *Hierarchy) l1iShift() int { return log2(h.cfg.L1I.LineBytes) }
-func (h *Hierarchy) l1dShift() int { return log2(h.cfg.L1D.LineBytes) }
-
-func log2(n int) int {
-	s := 0
-	for n > 1 {
-		n >>= 1
-		s++
-	}
-	return s
-}
-
 // DataResult describes a data-side access.
 type DataResult struct {
+	// Done is the cycle the data is available, or for a rejected access
+	// the first cycle an L1D MSHR frees.
 	Done    uint64
 	L1Miss  bool
 	LLCMiss bool
-	TLBMiss bool
-	// TLBDone is the cycle address translation finished.
-	TLBDone uint64
 	// Rejected reports that the access could not allocate an L1 MSHR
 	// and must be retried by the load/store unit.
 	Rejected bool
@@ -257,15 +231,15 @@ func (h *Hierarchy) TranslateData(addr, cycle uint64) (miss bool, done uint64) {
 // is the post-translation access cycle.
 func (h *Hierarchy) Data(addr, cycle uint64, write bool) DataResult {
 	var r DataResult
-	res, ok := h.l1d.Access(addr, cycle, write, func(block, c uint64) uint64 {
-		done, llcMiss := h.llcFill(h.blockAddrD, block, c)
+	res, ok := h.l1d.Access(addr, cycle, write, func(line, c uint64) uint64 {
+		done, llcMiss := h.llcFill(line, c)
 		if llcMiss {
 			r.LLCMiss = true
 		}
 		return done
 	})
 	if !ok {
-		return DataResult{Rejected: true}
+		return DataResult{Done: res.Done, Rejected: true}
 	}
 	r.Done = res.Done
 	r.L1Miss = res.Miss

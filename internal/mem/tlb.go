@@ -2,7 +2,7 @@ package mem
 
 import "repro/internal/simerr"
 
-// PageBits is log2 of the page size (4 KiB pages).
+// PageBits is the base-2 logarithm of the page size (4 KiB pages).
 const PageBits = 12
 
 // PageOf returns the virtual page number of an address.

@@ -20,7 +20,6 @@ package tracestore
 import (
 	"container/list"
 	"encoding/hex"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -259,13 +258,13 @@ func (s *Store) loadDisk(key Key) ([]byte, bool) {
 	if err != nil {
 		return nil, false // absent (or unreadable): plain miss
 	}
-	if err := checkDiskEntry(key, raw); err != nil {
+	got, payload, err := PayloadFromDiskEntry(raw)
+	if err != nil || got != key {
 		os.Remove(s.path(key))
 		s.stats.DiskRejects++
 		s.stats.DiskRejectsFraming++
 		return nil, false
 	}
-	payload := raw[len(diskMagic)+1+len(key):]
 	if s.validate != nil {
 		if err := s.validate(payload); err != nil {
 			os.Remove(s.path(key))
@@ -278,11 +277,11 @@ func (s *Store) loadDisk(key Key) ([]byte, bool) {
 }
 
 // PayloadFromDiskEntry strips the disk-tier framing from a raw entry
-// file, returning the key the file claims to hold and its payload.
-// `teatrace -stats` uses it to inspect cache entries offline; unlike
-// the store's own load path it does not require knowing the key up
-// front, so a mislabeled file is still inspectable. Framing damage
-// fails with a typed simerr.ErrDecode.
+// file, returning the key the file claims to hold and its payload. It
+// is the one framing parse: the store's load path also requires the key
+// to match the file's name, while `teatrace -stats`, inspecting cache
+// entries offline, does not, so a mislabeled file is still inspectable.
+// Framing damage fails with a typed simerr.ErrDecode.
 func PayloadFromDiskEntry(raw []byte) (Key, []byte, error) {
 	var key Key
 	hdr := len(diskMagic) + 1 + len(key)
@@ -300,23 +299,6 @@ func PayloadFromDiskEntry(raw []byte) (Key, []byte, error) {
 	}
 	key = Key(raw[5:hdr])
 	return key, raw[hdr:], nil
-}
-
-func checkDiskEntry(key Key, raw []byte) error {
-	hdr := len(diskMagic) + 1 + len(key)
-	if len(raw) < hdr {
-		return fmt.Errorf("tracestore: entry shorter than header")
-	}
-	if [4]byte(raw[:4]) != diskMagic {
-		return fmt.Errorf("tracestore: bad magic")
-	}
-	if raw[4] != diskVersion {
-		return fmt.Errorf("tracestore: unsupported disk format %d", raw[4])
-	}
-	if Key(raw[5:hdr]) != key {
-		return fmt.Errorf("tracestore: entry key does not match filename")
-	}
-	return nil
 }
 
 // writeDisk persists an entry atomically (temp file + rename), so a

@@ -9,20 +9,14 @@ go build ./...
 go vet ./...
 # Includes the accuracy and codec gates: TestPaperNumbers and
 # TestCodecNumbers pin every deterministic metric of the committed
-# BENCH_2026-08-08_v4codec.json and BENCH_2026-08-08_codec.json.
+# BENCH_2026-08-08_v4codec.json and BENCH_2026-08-08_codec.json. It also
+# runs the whole-program analyzer golden suites under internal/lint.
 go test -race ./...
 
 # TEA invariant lint suite. `make lint` owns building the tealint
 # binary and runs all three modes (standalone, vet-tool, -json smoke),
 # so the gate and the Makefile cannot drift apart.
 make lint
-
-# Whole-program analyzer golden suites: the cross-package facts
-# machinery (taint reachability, context threading, goroutine joins,
-# typed-error boundaries) plus the checker and loader underneath it.
-go test ./internal/lint/detreach ./internal/lint/ctxflow \
-	./internal/lint/gojoin ./internal/lint/errbound \
-	./internal/lint/checker ./internal/lint/load
 
 # Robustness fuzz smoke: a short budget per target keeps the malformed-
 # input contract (typed errors, no panics) exercised on every gate.
