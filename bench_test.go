@@ -42,7 +42,7 @@ func captureReplay() (map[string]float64, error) {
 	var buf bytes.Buffer
 	c.Attach(trace.NewWriter(&buf))
 	st := c.Run()
-	if _, err := trace.Replay(bytes.NewReader(buf.Bytes()), core.NewGolden(nil)); err != nil {
+	if _, err := trace.ReplayBytes(context.Background(), buf.Bytes(), core.NewGolden(nil)); err != nil {
 		return nil, err
 	}
 	return map[string]float64{"trace_bytes/cycle": float64(buf.Len()) / float64(st.Cycles)}, nil

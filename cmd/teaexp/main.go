@@ -52,10 +52,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	rc := analysis.DefaultRunConfig()
+	rc := analysis.DefaultRunConfig().WithInterval(*interval)
 	rc.Scale = *scale
-	rc.Interval = *interval
-	rc.Jitter = *interval / 16
 	if err := rc.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "teaexp:", err)
 		os.Exit(2)
@@ -164,10 +162,7 @@ func run(id string, rc analysis.RunConfig) error {
 		// the CSRs and write the 88-byte sample) against a period that
 		// is ~1% of that cost — independent of the accuracy-experiment
 		// interval, which is scaled for sample density.
-		ovhRC := rc
-		ovhRC.Interval = 4096
-		ovhRC.Jitter = 256
-		analysis.RenderOverhead(out, analysis.MeasureOverhead(ovhRC, "exchange2", 45))
+		analysis.RenderOverhead(out, analysis.MeasureOverhead(rc.WithInterval(4096), "exchange2", 45))
 	default:
 		return fmt.Errorf("unknown experiment %q (try: tab1 tab2 fig1 fig3 fig5..fig12 dtea ablation jitter multicore stat-stall stat-comb stat-ovh all)", id)
 	}

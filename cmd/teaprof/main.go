@@ -41,10 +41,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "teaprof: -top must not be negative")
 		os.Exit(2)
 	}
-	rc := analysis.DefaultRunConfig()
+	rc := analysis.DefaultRunConfig().WithInterval(*interval)
 	rc.Scale = *scale
-	rc.Interval = *interval
-	rc.Jitter = *interval / 16
 	rc.Seed = *seed
 	if err := rc.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "teaprof:", err)

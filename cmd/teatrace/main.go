@@ -47,10 +47,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "teatrace: -top must not be negative")
 		os.Exit(2)
 	}
-	rc := analysis.DefaultRunConfig()
+	rc := analysis.DefaultRunConfig().WithInterval(*interval)
 	rc.Scale = *scale
-	rc.Interval = *interval
-	rc.Jitter = *interval / 16
 	if err := rc.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "teatrace:", err)
 		os.Exit(2)
@@ -126,7 +124,7 @@ func doStats(path string, asJSON bool) error {
 	fmt.Printf("encoded %d bytes, logical (v3-equivalent) %d bytes -> %.2fx compression\n",
 		st.EncodedBytes, st.LogicalBytes, st.CompressionRatio())
 	fmt.Printf("pattern table: %d matched of %d records (%.1f%% hit rate), %d match + %d literal tokens\n",
-		st.MatchedRecords, st.Records-1, 100*st.PatternHitRate(), st.MatchTokens, st.LitTokens)
+		st.MatchedRecords, st.BlockRecords(), 100*st.PatternHitRate(), st.MatchTokens, st.LitTokens)
 	fmt.Printf("\n%-10s %12s %16s\n", "kind", "records", "logical bytes")
 	for k, name := range trace.KindNames {
 		fmt.Printf("%-10s %12d %16d\n", name, st.KindRecords[k], st.KindBytes[k])

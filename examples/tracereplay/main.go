@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 
@@ -42,7 +43,7 @@ func main() {
 	teaCfg.JitterCycles = 16
 	tea := core.NewTEA(nil, teaCfg)
 	ibs := profilers.NewIBS(256, 16, 9)
-	if _, err := trace.Replay(bytes.NewReader(buf.Bytes()), golden, tea, ibs); err != nil {
+	if _, err := trace.ReplayBytes(context.Background(), buf.Bytes(), golden, tea, ibs); err != nil {
 		fail(err)
 	}
 
@@ -55,7 +56,7 @@ func main() {
 	// 3. Replay again with a different sampling interval — same trace.
 	tea2 := core.NewTEA(nil, core.Config{IntervalCycles: 1024, JitterCycles: 64, Seed: 3,
 		Set: teaCfg.Set})
-	if _, err := trace.Replay(bytes.NewReader(buf.Bytes()), tea2); err != nil {
+	if _, err := trace.ReplayBytes(context.Background(), buf.Bytes(), tea2); err != nil {
 		fail(err)
 	}
 	fmt.Printf("  TEA at 4x sparser sampling: %5.1f%% error\n",

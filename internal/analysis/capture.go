@@ -63,52 +63,21 @@ var captureCount atomic.Uint64
 // path has performed in this process.
 func CaptureCount() uint64 { return captureCount.Load() }
 
-// Codec totals: every finished capture writer folds its trace.Counters
-// in here, so operators can see suite-wide logical-vs-encoded bytes —
-// the basis for sizing the disk tier — on /v1/stats without re-scanning
-// any stream.
+// codecTotals sums the trace.Counters of every capture this process
+// has written, so operators can see suite-wide logical-vs-encoded
+// bytes — the basis for sizing the disk tier — on /v1/stats without
+// re-scanning any stream.
 var (
-	codecCaptures atomic.Uint64
-	codecRecords  atomic.Uint64
-	codecMatched  atomic.Uint64
-	codecLogical  atomic.Uint64
-	codecEncoded  atomic.Uint64
+	codecMu     sync.Mutex
+	codecTotals trace.Counters
 )
 
-// CodecTotals is the process-wide aggregate of trace codec work.
-type CodecTotals struct {
-	Captures       uint64 // capture streams written
-	Records        uint64 // records across those streams
-	MatchedRecords uint64 // records absorbed by the pattern table
-	LogicalBytes   uint64 // v3-equivalent record-at-a-time bytes
-	EncodedBytes   uint64 // v4 bytes actually produced
-}
-
-// CompressionRatio is suite-wide logical over encoded bytes.
-func (t CodecTotals) CompressionRatio() float64 {
-	if t.EncodedBytes == 0 {
-		return 0
-	}
-	return float64(t.LogicalBytes) / float64(t.EncodedBytes)
-}
-
-func addCodecCounters(c trace.Counters) {
-	codecCaptures.Add(1)
-	codecRecords.Add(c.Records)
-	codecMatched.Add(c.MatchedRecords)
-	codecLogical.Add(c.LogicalBytes)
-	codecEncoded.Add(c.EncodedBytes)
-}
-
-// CodecTotalStats returns the process-wide codec totals.
-func CodecTotalStats() CodecTotals {
-	return CodecTotals{
-		Captures:       codecCaptures.Load(),
-		Records:        codecRecords.Load(),
-		MatchedRecords: codecMatched.Load(),
-		LogicalBytes:   codecLogical.Load(),
-		EncodedBytes:   codecEncoded.Load(),
-	}
+// CodecTotalStats returns the summed codec account of every capture
+// this process has written: Streams counts the captures.
+func CodecTotalStats() trace.Counters {
+	codecMu.Lock()
+	defer codecMu.Unlock()
+	return codecTotals
 }
 
 // captureKey derives the content address of one capture: a SHA-256
@@ -196,7 +165,7 @@ func (j captureJob) capture(ctx context.Context) ([]byte, *cpu.Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	stats, data, err := decodeEntry(entry)
+	stats, data, err := DecodeCachedEntry(entry)
 	if err != nil {
 		// Memory-tier entries come from our own encoder and disk-tier
 		// entries pass validateEntry before being served, so this is an
@@ -224,7 +193,11 @@ func encodeEntry(stats *cpu.Stats, data []byte) ([]byte, error) {
 	return out, nil
 }
 
-func decodeEntry(entry []byte) (*cpu.Stats, []byte, error) {
+// DecodeCachedEntry splits a trace-store entry into its run statistics
+// and raw trace stream without validating the stream (callers that need
+// validation replay or Verify it). `teatrace -stats` uses it to inspect
+// cache entries directly.
+func DecodeCachedEntry(entry []byte) (*cpu.Stats, []byte, error) {
 	n, w := binary.Uvarint(entry)
 	if w <= 0 || n > uint64(len(entry)-w) {
 		return nil, nil, simerr.New(simerr.ErrDecode, simerr.Snapshot{},
@@ -238,21 +211,13 @@ func decodeEntry(entry []byte) (*cpu.Stats, []byte, error) {
 	return &stats, entry[w+int(n):], nil
 }
 
-// DecodeCachedEntry splits a trace-store entry into its run statistics
-// and raw trace stream without validating the stream (callers that need
-// validation replay or Verify it). `teatrace -stats` uses it to inspect
-// cache entries directly.
-func DecodeCachedEntry(entry []byte) (*cpu.Stats, []byte, error) {
-	return decodeEntry(entry)
-}
-
 // validateEntry is the disk-tier validator: an entry is served only if
 // its stats envelope parses and the trace stream inside decodes end to
 // end with a matching integrity digest. Anything less is treated as a
 // miss by the store (recapture), so cache corruption can never surface
 // as an ErrDecode — let alone a wrong profile — in an experiment.
 func validateEntry(entry []byte) error {
-	_, data, err := decodeEntry(entry)
+	_, data, err := DecodeCachedEntry(entry)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -424,5 +425,43 @@ func TestSweepConfigSeedRecorded(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(fmt.Sprintf(`"seed": %d`, want))) {
 			t.Errorf("interval %d: TEA profile JSON does not record derived seed %d", iv, want)
 		}
+	}
+}
+
+// TestCodecTotalsSumConcurrentCaptures: captures finishing on several
+// goroutines at once each fold their writer's whole account into the
+// process codec totals, so the totals grow by the sum of the captured
+// streams' own accounts.
+func TestCodecTotalsSumConcurrentCaptures(t *testing.T) {
+	names := []string{"bwaves", "mcf", "lbm", "xz"}
+	data := make([][]byte, len(names))
+	errs := make([]error, len(names))
+	before := CodecTotalStats()
+	var wg sync.WaitGroup
+	for i, name := range names {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int, p *program.Program) {
+			defer wg.Done()
+			data[i], _, errs[i] = CaptureTrace(context.Background(), p, testRC())
+		}(i, w.Build(testRC().Iters(w)))
+	}
+	wg.Wait()
+	want := before
+	for i, d := range data {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", names[i], errs[i])
+		}
+		st, err := trace.ScanStats(d)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		want.Add(st.Counters)
+	}
+	if got := CodecTotalStats(); got != want {
+		t.Errorf("codec totals after %d concurrent captures:\n got %+v\nwant %+v", len(names), got, want)
 	}
 }

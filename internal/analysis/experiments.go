@@ -466,9 +466,7 @@ func MeasureOverhead(rc RunConfig, benchmark string, sampleCost uint64) Overhead
 
 	loaded := cpu.New(rc.Core, w.Build(iters))
 	loaded.SampleOverheadCycles = sampleCost
-	cfg := rc.teaConfig()
-	cfg.ChargeOverhead = true
-	tea := core.NewTEA(loaded, cfg)
+	tea := core.NewTEA(loaded, rc.teaConfig())
 	loaded.Attach(tea)
 	loadedStats := loaded.Run()
 

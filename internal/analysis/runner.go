@@ -57,6 +57,13 @@ func DefaultRunConfig() RunConfig {
 	}
 }
 
+// WithInterval returns rc sampling every interval cycles, with the
+// jitter at one sixteenth of the interval, the ratio of the defaults.
+func (rc RunConfig) WithInterval(interval uint64) RunConfig {
+	rc.Interval, rc.Jitter = interval, interval/16
+	return rc
+}
+
 // Validate returns a typed ErrInvalidConfig unless rc can drive a run:
 // a positive sampling interval, a jitter no wider than the interval
 // (a wider one can wrap the sample clock), and a positive finite scale
@@ -279,7 +286,9 @@ func CaptureTrace(ctx context.Context, p *program.Program, rc RunConfig) ([]byte
 		return nil, nil, simerr.Wrap(simerr.ErrInternal,
 			simerr.Snapshot{Program: p.Name}, err, "in-memory trace capture failed")
 	}
-	addCodecCounters(tw.Counters())
+	codecMu.Lock()
+	codecTotals.Add(tw.Counters())
+	codecMu.Unlock()
 	return buf.Bytes(), stats, nil
 }
 

@@ -112,13 +112,12 @@ func SweepSeed(base, interval uint64) uint64 {
 }
 
 // SweepConfig is the run configuration of one FrequencySweep point:
-// the interval is swept, the jitter scales with it (same 1/16 ratio as
-// the defaults), and the seed is re-derived per interval via
-// SweepSeed. The recorded Profile.Seed of each sweep run exposes the
-// derived seed for verification.
+// the interval is swept, the jitter scales with it (WithInterval), and
+// the seed is re-derived per interval via SweepSeed. The recorded
+// Profile.Seed of each sweep run exposes the derived seed for
+// verification.
 func SweepConfig(rc RunConfig, interval uint64) RunConfig {
-	rc.Interval = interval
-	rc.Jitter = interval / 16
+	rc = rc.WithInterval(interval)
 	rc.Seed = SweepSeed(rc.Seed, interval)
 	return rc
 }

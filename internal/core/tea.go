@@ -118,9 +118,6 @@ type Config struct {
 	// the stream attributes. It is kept only because bench/layers.go
 	// still sets it.
 	Prog *program.Program
-	// ChargeOverhead makes each delivered sample charge the modeled
-	// interrupt cost to the core (performance-overhead experiments).
-	ChargeOverhead bool
 }
 
 // DefaultConfig returns the standard TEA configuration: all nine
@@ -155,7 +152,7 @@ type TEA struct {
 	cpu.BaseProbe
 	cfg     Config
 	sampler *Sampler
-	core    *cpu.CPU
+	core    *cpu.CPU // charged each sample's interrupt cost; nil for golden
 
 	samples   []Sample
 	pendings  []pending
@@ -165,7 +162,10 @@ type TEA struct {
 	SampleCnt uint64
 }
 
-// NewTEA builds a TEA unit for the given core.
+// NewTEA builds a TEA unit for the given core (nil on replay). A
+// sampling unit on a live core charges the core's
+// SampleOverheadCycles for each sample it delivers; the golden
+// reference never charges.
 func NewTEA(core *cpu.CPU, cfg Config) *TEA {
 	name := "TEA"
 	if cfg.EveryCycle {
@@ -176,13 +176,13 @@ func NewTEA(core *cpu.CPU, cfg Config) *TEA {
 	}
 	t := &TEA{
 		cfg:  cfg,
-		core: core,
 		acc:  pics.NewAccum(name, cfg.Set),
 		keep: !cfg.EveryCycle,
 	}
 	if !cfg.EveryCycle {
 		t.sampler = NewSeededSampler(cfg.IntervalCycles, cfg.JitterCycles, cfg.Seed)
 		t.acc.SetSeed(cfg.Seed)
+		t.core = core
 	}
 	return t
 }
@@ -288,7 +288,7 @@ func (t *TEA) deliver(cycle uint64, state events.CommitState, insts []SampledIns
 	if t.keep {
 		t.samples = append(t.samples, Sample{Cycle: cycle, State: state, Insts: insts, Weight: weight})
 	}
-	if t.cfg.ChargeOverhead && t.core != nil {
+	if t.core != nil {
 		t.core.RequestSampleOverhead()
 	}
 }

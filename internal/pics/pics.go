@@ -53,15 +53,6 @@ func (s Stack) SortedSignatures() []events.PSV {
 	return sigs
 }
 
-// Clone returns a deep copy.
-func (s Stack) Clone() Stack {
-	c := make(Stack, len(s))
-	for _, k := range xiter.SortedKeys(s) {
-		c[k] = s[k]
-	}
-	return c
-}
-
 // Scale multiplies every component by f.
 func (s Stack) Scale(f float64) {
 	for _, k := range xiter.SortedKeys(s) {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/simerr"
+	"repro/internal/tracestore"
 	"repro/internal/xiter"
 )
 
@@ -112,39 +113,14 @@ type SubmitResponse struct {
 	QueueDepth int `json:"queue_depth"`
 }
 
-// StoreStatsView is the trace-store section of /v1/stats.
+// StoreStatsView is the trace-store section of /v1/stats: the shared
+// store's own counters (tracestore.Stats documents each) and their hit
+// rate.
 type StoreStatsView struct {
-	// Hits counts memory-tier cache hits.
-	Hits uint64 `json:"hits"`
-	// DiskHits counts disk-tier hits (promoted to memory).
-	DiskHits uint64 `json:"disk_hits"`
-	// Misses counts lookups no tier could serve.
-	Misses uint64 `json:"misses"`
-	// Puts counts entries inserted.
-	Puts uint64 `json:"puts"`
-	// Evictions counts memory-tier LRU evictions.
-	Evictions uint64 `json:"evictions"`
-	// DiskRejects counts corrupt disk entries discarded (the sum of the
-	// two splits below).
-	DiskRejects uint64 `json:"disk_rejects"`
-	// DiskRejectsFraming counts disk entries rejected by the framing
-	// check (bad magic, truncation, digest mismatch).
-	DiskRejectsFraming uint64 `json:"disk_rejects_framing"`
-	// DiskRejectsPayload counts disk entries that framed correctly but
-	// failed the store's payload validator.
-	DiskRejectsPayload uint64 `json:"disk_rejects_payload"`
-	// PutBytes counts cumulative encoded payload bytes inserted — what
-	// the disk tier stores on disk. Compare with the codec section's
-	// logical_bytes to size the tier.
-	PutBytes uint64 `json:"put_bytes"`
-	// MemBytes is the memory tier's current payload footprint.
-	MemBytes uint64 `json:"mem_bytes"`
-	// Entries is the memory tier's current entry count.
-	Entries uint64 `json:"entries"`
-	// HitRate is (hits+disk_hits)/(hits+disk_hits+misses), 0 when idle.
-	// Note that singleflight waiters joining an in-progress capture
-	// count as misses here; Captures vs completed jobs is the truer
-	// dedup measure.
+	tracestore.Stats
+	// HitRate is Stats.HitRate(). Singleflight waiters joining an
+	// in-progress capture count as misses, so Captures vs completed
+	// jobs is the truer dedup measure.
 	HitRate float64 `json:"hit_rate"`
 }
 
@@ -171,9 +147,10 @@ type ProfileMemoView struct {
 // compression ratio operators use to size the disk tier and estimate
 // transfer cost.
 type CodecStatsView struct {
-	// Captures counts trace streams written.
+	// Captures counts the capture streams written.
 	Captures uint64 `json:"captures"`
-	// Records counts records across those streams.
+	// Records counts records across those streams, each stream's done
+	// section included.
 	Records uint64 `json:"records"`
 	// MatchedRecords counts records encoded as pattern-table matches
 	// rather than literals.
@@ -185,7 +162,9 @@ type CodecStatsView struct {
 	EncodedBytes uint64 `json:"encoded_bytes"`
 	// CompressionRatio is logical_bytes/encoded_bytes (0 when idle).
 	CompressionRatio float64 `json:"compression_ratio"`
-	// PatternHitRate is matched_records/records (0 when idle).
+	// PatternHitRate is matched_records over the block records,
+	// records-captures (0 when idle): the rate `teatrace -stats`
+	// prints for one stream.
 	PatternHitRate float64 `json:"pattern_hit_rate"`
 }
 
@@ -222,11 +201,14 @@ type StatsView struct {
 	Tenants map[string]TenantStats `json:"tenants"`
 }
 
-// DurabilityView is the /v1/stats durability section.
+// DurabilityView is the /v1/stats durability section. The server keeps
+// its journaling state in one (guarded by Server.mu) and fills in Mode
+// when it reports.
 type DurabilityView struct {
 	// Mode is the current durability mode (see HealthView.Mode).
 	Mode string `json:"mode"`
-	// DegradedReason explains a degraded mode (empty otherwise).
+	// DegradedReason explains a degraded mode; it is set exactly when
+	// the server has degraded.
 	DegradedReason string `json:"degraded_reason,omitempty"`
 	// JournalAppends / JournalAppendErrors count WAL record appends and
 	// their failures (the first failure degrades the server).
@@ -419,45 +401,29 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	snap := StoreSnapshot()
+	store := analysis.TraceStore().Snapshot()
+	memo := s.memo.Snapshot()
+	codec := analysis.CodecTotalStats()
 	view := StatsView{
-		Workers:  s.cfg.Workers,
-		QueueCap: s.cfg.QueueDepth,
-		Captures: analysis.CaptureCount(),
-		TraceStore: StoreStatsView{
-			Hits: snap.Hits, DiskHits: snap.DiskHits, Misses: snap.Misses,
-			Puts: snap.Puts, Evictions: snap.Evictions, DiskRejects: snap.DiskRejects,
-			DiskRejectsFraming: snap.DiskRejectsFraming, DiskRejectsPayload: snap.DiskRejectsPayload,
+		Workers:     s.cfg.Workers,
+		QueueCap:    s.cfg.QueueDepth,
+		Captures:    analysis.CaptureCount(),
+		TraceStore:  StoreStatsView{Stats: store, HitRate: store.HitRate()},
+		ProfileMemo: ProfileMemoView{Hits: memo.Hits, Misses: memo.Misses, Entries: memo.Entries, Bytes: memo.MemBytes},
+		Codec: CodecStatsView{
+			Captures:         codec.Streams,
+			Records:          codec.Records,
+			MatchedRecords:   codec.MatchedRecords,
+			LogicalBytes:     codec.LogicalBytes,
+			EncodedBytes:     codec.EncodedBytes,
+			CompressionRatio: codec.CompressionRatio(),
+			PatternHitRate:   codec.PatternHitRate(),
 		},
 	}
-	if looked := snap.Hits + snap.DiskHits + snap.Misses; looked > 0 {
-		view.TraceStore.HitRate = float64(snap.Hits+snap.DiskHits) / float64(looked)
-	}
-	view.TraceStore.PutBytes = snap.PutBytes
-	view.TraceStore.MemBytes = snap.MemBytes
-	view.TraceStore.Entries = snap.Entries
-	memo := s.memo.Snapshot()
-	view.ProfileMemo = ProfileMemoView{Hits: memo.Hits, Misses: memo.Misses, Entries: memo.Entries, Bytes: memo.MemBytes}
-	codec := analysis.CodecTotalStats()
-	view.Codec = CodecStatsView{
-		Captures:         codec.Captures,
-		Records:          codec.Records,
-		MatchedRecords:   codec.MatchedRecords,
-		LogicalBytes:     codec.LogicalBytes,
-		EncodedBytes:     codec.EncodedBytes,
-		CompressionRatio: codec.CompressionRatio(),
-	}
-	if codec.Records > 0 {
-		view.Codec.PatternHitRate = float64(codec.MatchedRecords) / float64(codec.Records)
-	}
-	view.Durability.Mode = s.Mode()
+	mode := s.Mode()
 	s.mu.Lock()
-	view.Durability.DegradedReason = s.dur.degradedReason
-	view.Durability.JournalAppends = s.dur.appends
-	view.Durability.JournalAppendErrors = s.dur.appendErrors
-	view.Durability.ResultWrites = s.dur.resultWrites
-	view.Durability.ResultWriteErrors = s.dur.resultErrors
-	view.Durability.Recovery = s.dur.recovery
+	view.Durability = s.dur
+	view.Durability.Mode = mode
 	view.QueueDepth = len(s.queue)
 	view.Submitted = s.stats.submitted
 	view.RejectedQuota = s.stats.rejectedQuota

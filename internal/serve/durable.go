@@ -96,17 +96,6 @@ type RecoveryStats struct {
 	ResultLoadFailures int `json:"result_load_failures"`
 }
 
-// durability is the journaling state block (guarded by Server.mu).
-type durability struct {
-	degraded       bool
-	degradedReason string
-	appends        uint64
-	appendErrors   uint64
-	resultWrites   uint64
-	resultErrors   uint64
-	recovery       RecoveryStats
-}
-
 // Service modes, reported by /v1/healthz, /v1/readyz, and /v1/stats.
 const (
 	// ModeDurable: journaling active; restarts recover all jobs.
@@ -125,7 +114,7 @@ func (s *Server) Mode() string {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dur.degraded {
+	if s.dur.DegradedReason != "" {
 		return ModeDegraded
 	}
 	return ModeDurable
@@ -143,13 +132,14 @@ func (s *Server) Close() error {
 // degrade switches journaling off after a runtime disk fault. The
 // server continues memory-only: jobs keep running and results stay
 // correct, but a restart from here loses post-degradation state (the
-// operator signal is /v1/readyz + the stats counters).
+// operator signal is /v1/readyz + the stats counters). reason must not
+// be empty: a non-empty DegradedReason is what marks the server
+// degraded.
 func (s *Server) degrade(reason string) {
 	s.mu.Lock()
-	already := s.dur.degraded
+	already := s.dur.DegradedReason != ""
 	if !already {
-		s.dur.degraded = true
-		s.dur.degradedReason = reason
+		s.dur.DegradedReason = reason
 	}
 	s.mu.Unlock()
 	if !already {
@@ -158,14 +148,7 @@ func (s *Server) degrade(reason string) {
 }
 
 // journalActive reports whether appends should be attempted.
-func (s *Server) journalActive() bool {
-	if s.journal == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return !s.dur.degraded
-}
+func (s *Server) journalActive() bool { return s.Mode() == ModeDurable }
 
 // journalAppend appends one record for j, waiting for the job's
 // submitted record to commit first so per-job ordering holds in the
@@ -193,9 +176,9 @@ func (s *Server) journalAppend(j *job, typ string, data any) {
 		Data:       raw,
 	})
 	s.mu.Lock()
-	s.dur.appends++
+	s.dur.JournalAppends++
 	if err != nil {
-		s.dur.appendErrors++
+		s.dur.JournalAppendErrors++
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -228,9 +211,9 @@ func (s *Server) journalDone(j *job, profiles map[string][]byte, techErrs map[st
 	for _, name := range xiter.SortedKeys(profiles) {
 		ref, err := s.journal.WriteResult(j.id, name, profiles[name])
 		s.mu.Lock()
-		s.dur.resultWrites++
+		s.dur.ResultWrites++
 		if err != nil {
-			s.dur.resultErrors++
+			s.dur.ResultWriteErrors++
 		}
 		s.mu.Unlock()
 		if err != nil {
@@ -268,18 +251,18 @@ type replayedJob struct {
 // returns the interrupted jobs to re-enqueue. It runs inside New,
 // before the server is shared, so it touches fields without locks.
 func (s *Server) restore(rec *journal.Recovery) []*job {
-	s.dur.recovery.TornBytes = rec.TornBytes
+	s.dur.Recovery.TornBytes = rec.TornBytes
 
 	byID := make(map[string]*replayedJob)
 	var order []string
 	for _, r := range rec.Records {
-		s.dur.recovery.Replayed++
+		s.dur.Recovery.Replayed++
 		rj := byID[r.JobID]
 		switch r.Type {
 		case recSubmitted:
 			var d submitData
 			if err := json.Unmarshal(r.Data, &d); err != nil {
-				s.dur.recovery.MalformedRecords++
+				s.dur.Recovery.MalformedRecords++
 				continue
 			}
 			if rj == nil {
@@ -291,36 +274,36 @@ func (s *Server) restore(rec *journal.Recovery) []*job {
 			rj.submitted = time.UnixMilli(r.TimeUnixMs)
 		case recRunning:
 			if rj == nil {
-				s.dur.recovery.UnknownJobRecords++
+				s.dur.Recovery.UnknownJobRecords++
 				continue
 			}
 			rj.running = true
 			rj.started = time.UnixMilli(r.TimeUnixMs)
 		case recCancel:
 			if rj == nil {
-				s.dur.recovery.UnknownJobRecords++
+				s.dur.Recovery.UnknownJobRecords++
 				continue
 			}
 			rj.cancelReq = true
 		case recDone, recFailed, recCanceled:
 			if rj == nil {
-				s.dur.recovery.UnknownJobRecords++
+				s.dur.Recovery.UnknownJobRecords++
 				continue
 			}
 			if rj.term != nil {
-				s.dur.recovery.DuplicateTerminals++
+				s.dur.Recovery.DuplicateTerminals++
 				continue
 			}
 			var d terminalData
 			if err := json.Unmarshal(r.Data, &d); err != nil {
-				s.dur.recovery.MalformedRecords++
+				s.dur.Recovery.MalformedRecords++
 				continue
 			}
 			rj.termType = r.Type
 			rj.term = &d
 			rj.finished = time.UnixMilli(r.TimeUnixMs)
 		default:
-			s.dur.recovery.MalformedRecords++
+			s.dur.Recovery.MalformedRecords++
 		}
 	}
 
@@ -341,12 +324,8 @@ func (s *Server) restore(rec *journal.Recovery) []*job {
 		s.tenantStatsLocked(j.tenant).Submitted++
 		if j.status.Terminal() {
 			j.prog = nil
-			s.finished = append(s.finished, id)
+			s.retireLocked(id)
 		}
-	}
-	for len(s.finished) > s.cfg.KeepFinished {
-		delete(s.jobs, s.finished[0])
-		s.finished = s.finished[1:]
 	}
 	return requeue
 }
@@ -366,19 +345,19 @@ func (s *Server) restoreOne(rj *replayedJob, requeue *[]*job) *job {
 		j.status = StatusCanceled
 		j.err = &ErrorBody{Kind: kindCanceled, Status: statusForKind(kindCanceled),
 			Message: "canceled before the crash; finalized on recovery"}
-		s.dur.recovery.RestoredCanceled++
+		s.dur.Recovery.RestoredCanceled++
 	case rj.term == nil:
 		// Interrupted mid-queue or mid-run: run it (again). Capture
 		// dedup makes the re-run idempotent.
 		if buildErr != nil {
 			j.status = StatusFailed
 			j.err = errorBody(buildErr)
-			s.dur.recovery.RestoredFailed++
+			s.dur.Recovery.RestoredFailed++
 			return j
 		}
 		j.status = StatusQueued
 		*requeue = append(*requeue, j)
-		s.dur.recovery.Requeued++
+		s.dur.Recovery.Requeued++
 	case rj.termType == recDone:
 		profiles := make(map[string][]byte, len(rj.term.Results))
 		var loadErr error
@@ -394,22 +373,22 @@ func (s *Server) restoreOne(rj *replayedJob, requeue *[]*job) *job {
 			j.status = StatusFailed
 			j.err = errorBody(simerr.Wrap(simerr.ErrDecode, simerr.Snapshot{}, loadErr,
 				"job %s recovered as done but its result files fail verification", rj.id))
-			s.dur.recovery.ResultLoadFailures++
-			s.dur.recovery.RestoredFailed++
+			s.dur.Recovery.ResultLoadFailures++
+			s.dur.Recovery.RestoredFailed++
 			return j
 		}
 		j.status = StatusDone
 		j.profiles = profiles
 		j.techErrs = rj.term.TechErrs
-		s.dur.recovery.RestoredDone++
+		s.dur.Recovery.RestoredDone++
 	case rj.termType == recFailed:
 		j.status = StatusFailed
 		j.err = rj.term.Error
-		s.dur.recovery.RestoredFailed++
+		s.dur.Recovery.RestoredFailed++
 	default: // recCanceled
 		j.status = StatusCanceled
 		j.err = rj.term.Error
-		s.dur.recovery.RestoredCanceled++
+		s.dur.Recovery.RestoredCanceled++
 	}
 	return j
 }

@@ -332,8 +332,7 @@ func (s *Server) buildJob(req *JobRequest) (*job, error) {
 	rc := analysis.DefaultRunConfig()
 	if req.Config != nil {
 		if req.Config.Interval != nil {
-			rc.Interval = *req.Config.Interval
-			rc.Jitter = rc.Interval / 16
+			rc = rc.WithInterval(*req.Config.Interval)
 		}
 		if req.Config.Jitter != nil {
 			rc.Jitter = *req.Config.Jitter

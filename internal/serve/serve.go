@@ -170,7 +170,7 @@ type Server struct {
 	finished []string // terminal job IDs, oldest first (retention ring)
 	seq      uint64
 	stats    counters
-	dur      durability
+	dur      DurabilityView // journaling state; Mode is filled when reported
 }
 
 // counters aggregates service traffic for /v1/stats (guarded by
@@ -227,7 +227,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.journal = jnl
 		requeue = s.restore(rec)
-		r := s.dur.recovery
+		r := s.dur.Recovery
 		cfg.Logf("teaserve: journal %s replayed: %d records (%d torn bytes truncated), %d done / %d failed / %d canceled restored, %d requeued",
 			cfg.JournalDir, r.Replayed, r.TornBytes, r.RestoredDone, r.RestoredFailed, r.RestoredCanceled, r.Requeued)
 	}
@@ -285,13 +285,13 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		defer tcancel()
 	}
 	if !j.begin(s.cfg.Now(), cancel) {
-		// Canceled while queued; registry already holds the terminal
+		// Canceled while queued: the job already holds its terminal
 		// state.
-		s.noteTransition(StatusQueued, StatusCanceled)
+		s.note(j, StatusQueued, StatusCanceled)
 		s.journalTerminal(j, StatusCanceled, j.view(false).Error)
 		return
 	}
-	s.noteTransition(StatusQueued, StatusRunning)
+	s.note(j, StatusQueued, StatusRunning)
 	s.journalAppend(j, recRunning, nil)
 
 	profiles, techErrs, err := s.renderProfiles(jctx, j)
@@ -307,12 +307,12 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		}
 		s.journalTerminal(j, status, body)
 		j.fail(end, body, status)
-		s.noteTerminal(j, StatusRunning, status)
+		s.note(j, StatusRunning, status)
 		return
 	}
 	s.journalDone(j, profiles, techErrs)
 	j.complete(end, profiles, techErrs)
-	s.noteTerminal(j, StatusRunning, StatusDone)
+	s.note(j, StatusRunning, StatusDone)
 }
 
 // profileMemoBudget bounds each server's memo of rendered profiles in
@@ -369,26 +369,24 @@ func (s *Server) renderProfiles(ctx context.Context, j *job) (map[string][]byte,
 	return profiles, techErrs, nil
 }
 
-// noteTransition moves one job between status buckets in the counters.
-func (s *Server) noteTransition(from, to Status) {
+// note moves j between status buckets in the counters and, once j is
+// terminal, retires it into the finished-job ring.
+func (s *Server) note(j *job, from, to Status) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stats.byStatus[from] > 0 {
 		s.stats.byStatus[from]--
 	}
 	s.stats.byStatus[to]++
+	if to.Terminal() {
+		s.retireLocked(j.id)
+	}
 }
 
-// noteTerminal records a job reaching a terminal status and applies the
-// finished-job retention cap.
-func (s *Server) noteTerminal(j *job, from, to Status) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stats.byStatus[from] > 0 {
-		s.stats.byStatus[from]--
-	}
-	s.stats.byStatus[to]++
-	s.finished = append(s.finished, j.id)
+// retireLocked appends a terminal job to the finished-job ring and
+// evicts the oldest retired jobs beyond KeepFinished. Callers hold s.mu.
+func (s *Server) retireLocked(id string) {
+	s.finished = append(s.finished, id)
 	for len(s.finished) > s.cfg.KeepFinished {
 		delete(s.jobs, s.finished[0])
 		s.finished = s.finished[1:]
@@ -464,10 +462,4 @@ func pad6(n uint64) string {
 		s = "0" + s
 	}
 	return s
-}
-
-// StoreSnapshot exposes the shared trace store's traffic counters (the
-// /v1/stats cache section).
-func StoreSnapshot() tracestore.Stats {
-	return analysis.TraceStore().Snapshot()
 }

@@ -238,7 +238,7 @@ func encodeV4Metrics(buf *bytes.Buffer, tw *trace.Writer) map[string]float64 {
 	return map[string]float64{
 		"encoded_bytes": float64(buf.Len()),
 		"records":       float64(ctr.Records),
-		"compression_x": float64(ctr.LogicalBytes) / float64(ctr.EncodedBytes),
+		"compression_x": ctr.CompressionRatio(),
 	}
 }
 

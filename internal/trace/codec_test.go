@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/cpu"
@@ -205,3 +206,57 @@ func (probeFunc) OnCommit(cpu.Ref, uint64)   {}
 func (probeFunc) OnSquash(cpu.Ref, uint64)   {}
 func (probeFunc) OnCycle(*cpu.CycleInfo)     {}
 func (f probeFunc) OnDone(c uint64)          { f(c) }
+
+// TestCountersAddSumsStreams folds two captures' accounts together:
+// every field and array element sums (walked by reflection, so a field
+// Add forgets fails here), Streams counts the two done sections, and
+// the hit rate of the sum is taken over block records only.
+func TestCountersAddSumsStreams(t *testing.T) {
+	_, wa := captureStream(t, "bwaves", 300)
+	_, wb := captureStream(t, "mcf", 300)
+	a, b := wa.Counters(), wb.Counters()
+	var sum Counters
+	sum.Add(a)
+	sum.Add(b)
+
+	va, vb, vs := reflect.ValueOf(a), reflect.ValueOf(b), reflect.ValueOf(sum)
+	for i := 0; i < vs.NumField(); i++ {
+		name := vs.Type().Field(i).Name
+		switch f := vs.Field(i); f.Kind() {
+		case reflect.Uint64:
+			if got, want := f.Uint(), va.Field(i).Uint()+vb.Field(i).Uint(); got != want {
+				t.Errorf("%s: sum %d, want %d", name, got, want)
+			}
+		case reflect.Array:
+			for k := 0; k < f.Len(); k++ {
+				if got, want := f.Index(k).Uint(), va.Field(i).Index(k).Uint()+vb.Field(i).Index(k).Uint(); got != want {
+					t.Errorf("%s[%d]: sum %d, want %d", name, k, got, want)
+				}
+			}
+		default:
+			t.Errorf("%s: field of kind %s not covered", name, f.Kind())
+		}
+	}
+	if sum.Streams != 2 {
+		t.Errorf("Streams %d, want 2", sum.Streams)
+	}
+	if got, want := sum.PatternHitRate(), float64(sum.MatchedRecords)/float64(sum.Records-2); got != want {
+		t.Errorf("PatternHitRate %v, want MatchedRecords/(Records-Streams) = %v", got, want)
+	}
+}
+
+// TestWriterHitRateMatchesScanStats: for one stream, the writer's own
+// pattern hit rate is the one ScanStats (`teatrace -stats`) reports.
+func TestWriterHitRateMatchesScanStats(t *testing.T) {
+	data, tw := captureStream(t, "bwaves", 300)
+	st, err := ScanStats(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := tw.Counters(); c.Streams != 1 || c.BlockRecords() != c.Records-1 {
+		t.Errorf("one stream: Streams %d, BlockRecords %d of %d records", c.Streams, c.BlockRecords(), c.Records)
+	}
+	if got, want := tw.Counters().PatternHitRate(), st.PatternHitRate(); got != want || got == 0 {
+		t.Errorf("writer hit rate %v, ScanStats %v", got, want)
+	}
+}

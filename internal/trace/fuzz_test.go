@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -98,7 +99,7 @@ func FuzzReplay(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := core.NewGolden(nil)
-		_, err := Replay(bytes.NewReader(data), g)
+		_, err := ReplayBytes(context.Background(), data, g)
 		if err != nil && !errors.Is(err, simerr.ErrDecode) {
 			t.Fatalf("replay error is not a typed decode error: %v", err)
 		}

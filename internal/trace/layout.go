@@ -137,35 +137,14 @@ func RecordOffsets(data []byte) ([]int, error) {
 }
 
 // CodecStats describes one v4 stream for operators: its Counters,
-// plus the per-column and per-record-kind breakdowns keyed by name.
+// whose methods give its ratios, plus the per-column and
+// per-record-kind breakdowns keyed by name.
 // Produced by ScanStats and surfaced by `teatrace -stats`.
 type CodecStats struct {
 	Counters
 	Columns     map[string]uint64 `json:"column_bytes"`
 	Kinds       map[string]uint64 `json:"kind_records"`
 	KindLogical map[string]uint64 `json:"kind_logical_bytes"`
-}
-
-// PatternHitRate is the fraction of block records covered by match
-// tokens rather than literals.
-func (s CodecStats) PatternHitRate() float64 {
-	rec := s.Records
-	if rec > 0 {
-		rec-- // the done section is not a block record
-	}
-	if rec == 0 {
-		return 0
-	}
-	return float64(s.MatchedRecords) / float64(rec)
-}
-
-// CompressionRatio is logical (v3-equivalent) bytes over encoded (v4)
-// bytes — "how much smaller than format v3 this stream is".
-func (s CodecStats) CompressionRatio() float64 {
-	if s.EncodedBytes == 0 {
-		return 0
-	}
-	return float64(s.LogicalBytes) / float64(s.EncodedBytes)
 }
 
 // ScanStats replays a complete in-memory v4 stream (validating it end

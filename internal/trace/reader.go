@@ -21,45 +21,6 @@ type winEnt struct {
 	committed bool
 }
 
-// Replay feeds a recorded trace to a set of probes, reconstructing the
-// refs the live probes would have seen. The probes cannot tell replay
-// from a live run: profiles built offline are identical to online ones
-// (the paper's out-of-band host processing).
-//
-// Sequence numbers are dense and retire roughly in order, so in-flight
-// instructions live in a small sliding window indexed by seq instead of
-// a map; the replay loop performs no per-record allocation. Committed
-// entries are dropped from the window once their cycle record has been
-// delivered; only the most recent committed instruction stays
-// referenceable (Flushed cycles point at it). Squashed entries stay in
-// place — the same sequence number is re-fetched later, which resets
-// the entry, mirroring the fresh µop the live core allocates.
-//
-// Every failure — truncation, implausible operands, a malformed token
-// or column, an integrity-digest mismatch — returns a typed
-// *simerr.Error of kind simerr.ErrDecode with the failing record's
-// position in its snapshot. Replay never panics on malformed input
-// (FuzzReplay pins this).
-//
-//tealint:ctxroot uncancellable convenience entry point: callers with a context use ReplayContext
-func Replay(r io.Reader, probes ...cpu.Probe) (totalCycles uint64, err error) {
-	return ReplayContext(context.Background(), r, probes...)
-}
-
-// ReplayContext is Replay honoring cancellation: the context is polled
-// periodically and a cancelled replay returns simerr.ErrCanceled
-// wrapping ctx.Err() before the probes' completion hooks fire, so no
-// partial profile can be observed downstream. The stream is read fully
-// into memory first (captures are in-memory artifacts already), then
-// decoded by ReplayBytes.
-func ReplayContext(ctx context.Context, r io.Reader, probes ...cpu.Probe) (totalCycles uint64, err error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return 0, simerr.Wrap(simerr.ErrDecode, simerr.Snapshot{}, err, "trace: reading stream")
-	}
-	return ReplayBytes(ctx, data, probes...)
-}
-
 // Verify decodes a complete in-memory stream with no probes attached:
 // it returns nil only if the stream is well-formed end to end and its
 // integrity digest matches. The trace cache (internal/tracestore via
@@ -138,12 +99,32 @@ func decodeCol(dst []uint64, span []byte, n int) ([]uint64, error) {
 	return dst, nil
 }
 
-// ReplayBytes is ReplayContext for a complete in-memory stream — the
-// replay hot path. Decoding runs on slice cursors with pooled
-// block/window state, so one replay performs no per-record reads and no
-// per-record allocation beyond the pooled block scratch. The data is
-// only read, never written: callers may replay the same shared bytes
-// from many goroutines concurrently.
+// ReplayBytes feeds a complete in-memory trace to a set of probes,
+// reconstructing the refs the live probes would have seen. The probes
+// cannot tell replay from a live run: profiles built offline are
+// identical to online ones (the paper's out-of-band host processing).
+//
+// This is the replay hot path. Decoding runs on slice cursors with
+// pooled block/window state, so one replay performs no per-record reads
+// and no per-record allocation beyond the pooled block scratch. The
+// data is only read, never written: callers may replay the same shared
+// bytes from many goroutines concurrently. Sequence numbers are dense
+// and retire roughly in order, so in-flight instructions live in a
+// small sliding window indexed by seq instead of a map. Committed
+// entries are dropped from the window once their cycle record has been
+// delivered; only the most recent committed instruction stays
+// referenceable (Flushed cycles point at it). Squashed entries stay in
+// place — the same sequence number is re-fetched later, which resets
+// the entry, mirroring the fresh µop the live core allocates.
+//
+// The context is polled periodically; a cancelled replay returns
+// simerr.ErrCanceled wrapping the context's cause before the probes'
+// completion hooks fire, so no partial profile can be observed
+// downstream. Every other failure — truncation, implausible operands,
+// a malformed token or column, an integrity-digest mismatch — returns
+// a typed *simerr.Error of kind simerr.ErrDecode with the failing
+// record's position in its snapshot. Replay never panics on malformed
+// input (FuzzReplay pins this).
 func ReplayBytes(ctx context.Context, data []byte, probes ...cpu.Probe) (totalCycles uint64, err error) {
 	// Decode state shared with the error-snapshot helper.
 	var (

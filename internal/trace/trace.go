@@ -158,11 +158,13 @@ func uvlen(v uint64) uint64 { return uint64(bits.Len64(v|1)+6) / 7 }
 // where the encoded bytes live, how much of the stream the pattern
 // table absorbed, and the per-record-kind breakdown. The writer keeps
 // it while encoding; ScanStats reads it back from a stream by
-// re-encoding. The JSON names are `teatrace -stats -json`'s keys.
+// re-encoding, and Add sums the accounts of many streams. The JSON
+// names are `teatrace -stats -json`'s keys.
 type Counters struct {
-	Records        uint64 `json:"records"`         // records serialized (including the done section)
+	Streams        uint64 `json:"-"`               // done sections written: 1 per complete stream
+	Records        uint64 `json:"records"`         // records serialized (including the done sections)
 	Blocks         uint64 `json:"blocks"`          // columnar blocks emitted
-	TotalCycles    uint64 `json:"total_cycles"`    // the done section's cycle count
+	TotalCycles    uint64 `json:"total_cycles"`    // the done sections' cycle counts
 	LitTokens      uint64 `json:"lit_tokens"`      // literal-run tokens
 	MatchTokens    uint64 `json:"match_tokens"`    // match tokens
 	MatchedRecords uint64 `json:"matched_records"` // records covered by match tokens
@@ -173,6 +175,50 @@ type Counters struct {
 	ColumnBytes [nCols]uint64  `json:"-"` // literal-column payload bytes, named by ColumnNames
 	KindRecords [nKinds]uint64 `json:"-"` // block records per kind, named by KindNames
 	KindBytes   [nKinds]uint64 `json:"-"` // v3-equivalent bytes per kind, named by KindNames
+}
+
+// Add folds the account of another stream into c.
+func (c *Counters) Add(o Counters) {
+	c.Streams += o.Streams
+	c.Records += o.Records
+	c.Blocks += o.Blocks
+	c.TotalCycles += o.TotalCycles
+	c.LitTokens += o.LitTokens
+	c.MatchTokens += o.MatchTokens
+	c.MatchedRecords += o.MatchedRecords
+	c.EncodedBytes += o.EncodedBytes
+	c.LogicalBytes += o.LogicalBytes
+	c.TokenBytes += o.TokenBytes
+	for i := range c.ColumnBytes {
+		c.ColumnBytes[i] += o.ColumnBytes[i]
+	}
+	for i := range c.KindRecords {
+		c.KindRecords[i] += o.KindRecords[i]
+		c.KindBytes[i] += o.KindBytes[i]
+	}
+}
+
+// BlockRecords counts the records the pattern table could absorb: every
+// record but the done sections.
+func (c Counters) BlockRecords() uint64 { return c.Records - c.Streams }
+
+// PatternHitRate is the fraction of block records covered by match
+// tokens rather than literals (0 with no block records).
+func (c Counters) PatternHitRate() float64 {
+	if c.BlockRecords() == 0 {
+		return 0
+	}
+	return float64(c.MatchedRecords) / float64(c.BlockRecords())
+}
+
+// CompressionRatio is logical (v3-equivalent) bytes over encoded (v4)
+// bytes — "how much smaller than format v3 this stream is" (0 with
+// nothing encoded).
+func (c Counters) CompressionRatio() float64 {
+	if c.EncodedBytes == 0 {
+		return 0
+	}
+	return float64(c.LogicalBytes) / float64(c.EncodedBytes)
 }
 
 // Writer is a cpu.Probe that serializes the probe event stream as
@@ -401,6 +447,7 @@ func (t *Writer) OnDone(totalCycles uint64) {
 	t.buf = binary.AppendUvarint(t.buf, totalCycles)
 	t.digest = mix(mix(t.digest, recDone), totalCycles)
 	t.buf = binary.AppendUvarint(t.buf, t.digest)
+	t.c.Streams++
 	t.c.Records++
 	t.c.TotalCycles = totalCycles
 	t.c.LogicalBytes += 1 + uvlen(totalCycles) + uvlen(t.digest)

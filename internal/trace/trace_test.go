@@ -2,8 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"io"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -68,7 +68,7 @@ func liveAndReplayed(t *testing.T) (live, replayed map[string]*pics.Profile, liv
 	reGolden := core.NewGolden(nil)
 	reTEA := core.NewTEA(nil, teaCfg())
 	reIBS := profilers.NewIBS(128, 8, 7)
-	cycles, err := Replay(bytes.NewReader(buf.Bytes()), reGolden, reTEA, reIBS)
+	cycles, err := ReplayBytes(context.Background(), buf.Bytes(), reGolden, reTEA, reIBS)
 	if err != nil {
 		t.Fatalf("replay error: %v", err)
 	}
@@ -125,10 +125,10 @@ func TestReplayIsRepeatable(t *testing.T) {
 
 	g1 := core.NewGolden(nil)
 	g2 := core.NewGolden(nil)
-	if _, err := Replay(bytes.NewReader(data), g1); err != nil {
+	if _, err := ReplayBytes(context.Background(), data, g1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(bytes.NewReader(data), g2); err != nil {
+	if _, err := ReplayBytes(context.Background(), data, g2); err != nil {
 		t.Fatal(err)
 	}
 	if e := pics.Error(g1.Profile(), g2.Profile()); e > 1e-12 {
@@ -137,13 +137,13 @@ func TestReplayIsRepeatable(t *testing.T) {
 }
 
 func TestReplayRejectsGarbage(t *testing.T) {
-	if _, err := Replay(strings.NewReader("not a trace at all")); err == nil {
+	if _, err := ReplayBytes(context.Background(), []byte("not a trace at all")); err == nil {
 		t.Errorf("garbage accepted")
 	}
-	if _, err := Replay(strings.NewReader("TEAT\x63")); err == nil {
+	if _, err := ReplayBytes(context.Background(), []byte("TEAT\x63")); err == nil {
 		t.Errorf("bad version accepted")
 	}
-	if _, err := Replay(strings.NewReader("")); err == nil {
+	if _, err := ReplayBytes(context.Background(), []byte("")); err == nil {
 		t.Errorf("empty stream accepted")
 	}
 }
@@ -156,7 +156,7 @@ func TestReplayDetectsTruncation(t *testing.T) {
 	c.Attach(tw)
 	c.Run()
 	data := buf.Bytes()
-	_, err := Replay(bytes.NewReader(data[:len(data)/2]))
+	_, err := ReplayBytes(context.Background(), data[:len(data)/2])
 	if err == nil {
 		t.Errorf("truncated trace accepted")
 	}
@@ -217,7 +217,7 @@ func TestSquashedUOpsReplayIdentity(t *testing.T) {
 		t.Fatalf("no violations; squash path untested")
 	}
 	gRe := core.NewGolden(nil)
-	if _, err := Replay(bytes.NewReader(buf.Bytes()), gRe); err != nil {
+	if _, err := ReplayBytes(context.Background(), buf.Bytes(), gRe); err != nil {
 		t.Fatal(err)
 	}
 	if e := pics.Error(gRe.Profile(), gLive.Profile()); e > 1e-12 {
@@ -236,7 +236,7 @@ func TestCycleStatesRoundTrip(t *testing.T) {
 	c.Attach(liveCount)
 	c.Run()
 	reCount := &stateCounter{}
-	if _, err := Replay(bytes.NewReader(buf.Bytes()), reCount); err != nil {
+	if _, err := ReplayBytes(context.Background(), buf.Bytes(), reCount); err != nil {
 		t.Fatal(err)
 	}
 	if *liveCount != *reCount {

@@ -43,41 +43,53 @@ var diskMagic = [4]byte{'T', 'E', 'A', 'C'}
 const diskVersion = 1
 
 // Stats counts store traffic since construction (monotonic, retrieved
-// via Snapshot).
+// via Snapshot). The JSON names are the keys of the tracestore section
+// of teaserve's /v1/stats (docs/API.md).
 type Stats struct {
 	// Hits counts Get/GetOrPut calls served from the memory tier.
-	Hits uint64
+	Hits uint64 `json:"hits"`
 	// DiskHits counts calls served from the disk tier (the entry is
 	// promoted to memory).
-	DiskHits uint64
+	DiskHits uint64 `json:"disk_hits"`
 	// Misses counts calls no tier could serve.
-	Misses uint64
+	Misses uint64 `json:"misses"`
 	// Puts counts entries inserted.
-	Puts uint64
+	Puts uint64 `json:"puts"`
 	// Evictions counts memory-tier entries dropped by the LRU budget.
-	Evictions uint64
+	Evictions uint64 `json:"evictions"`
 	// DiskRejects counts disk entries discarded as corrupt, truncated,
 	// or mislabeled (each also counts as a miss). It is always the sum
 	// of the framing/payload splits below.
-	DiskRejects uint64
+	DiskRejects uint64 `json:"disk_rejects"`
 	// DiskRejectsFraming counts rejects from the framing check: short
 	// file, bad magic or version, key mismatch.
-	DiskRejectsFraming uint64
+	DiskRejectsFraming uint64 `json:"disk_rejects_framing"`
 	// DiskRejectsPayload counts rejects from the caller's payload
 	// validator — the entry framed correctly but its contents were not
 	// a decodable trace.
-	DiskRejectsPayload uint64
+	DiskRejectsPayload uint64 `json:"disk_rejects_payload"`
 	// PutBytes counts cumulative payload bytes inserted via Put (the
 	// encoded, post-codec size — what the disk tier actually stores).
 	// With the codec's logical-byte totals (internal/analysis) it gives
 	// operators the suite-wide compression ratio for tier sizing.
-	PutBytes uint64
+	PutBytes uint64 `json:"put_bytes"`
 	// MemBytes is the memory tier's current payload footprint (a gauge,
 	// filled at Snapshot time).
-	MemBytes uint64
+	MemBytes uint64 `json:"mem_bytes"`
 	// Entries is the memory tier's current entry count (a gauge, filled
 	// at Snapshot time).
-	Entries uint64
+	Entries uint64 `json:"entries"`
+}
+
+// HitRate is the fraction of lookups some tier served:
+// (hits+disk_hits)/(hits+disk_hits+misses), 0 before any lookup.
+// Singleflight waiters that join an in-progress fill count as misses.
+func (s Stats) HitRate() float64 {
+	looked := s.Hits + s.DiskHits + s.Misses
+	if looked == 0 {
+		return 0
+	}
+	return float64(s.Hits+s.DiskHits) / float64(looked)
 }
 
 // Store is the two-tier content-addressed cache. All methods are safe
@@ -129,9 +141,6 @@ func New(memBudget int64, dir string, validate func([]byte) error) *Store {
 		flights:  make(map[Key]*flight),
 	}
 }
-
-// Dir returns the disk-tier root ("" if the tier is disabled).
-func (s *Store) Dir() string { return s.dir }
 
 // Snapshot returns the traffic counters plus the memory tier's current
 // footprint gauges.

@@ -18,24 +18,22 @@ go test -race ./...
 # so the gate and the Makefile cannot drift apart.
 make lint
 
-# Robustness fuzz smoke: a short budget per target keeps the malformed-
-# input contract (typed errors, no panics) exercised on every gate.
-go test ./internal/trace -run='^$' -fuzz=FuzzReplay -fuzztime=10s
-go test ./internal/pics -run='^$' -fuzz=FuzzProfileJSON -fuzztime=10s
-go test ./internal/serve -run='^$' -fuzz=FuzzSubmit -fuzztime=10s
+# Robustness fuzz smoke: `make fuzz` gives FuzzReplay, FuzzProfileJSON
+# and FuzzSubmit a short budget each, keeping the malformed-input
+# contract (typed errors, no panics) exercised on every gate.
+make fuzz
 
-# Server smoke: boot a real teaserve on an ephemeral port with every
-# documented flag, drive each /v1 endpoint over TCP, check the raw
-# profile bytes against an in-process analysis.RunProgram, and verify
-# SIGTERM shuts it down cleanly (exit 0).
-go build -o bin/teaserve ./cmd/teaserve
-go run ./scripts/servesmoke -bin bin/teaserve
-
-# Crash-recovery smoke: boot teaserve with a job journal, finish one
-# job, submit a batch, SIGKILL mid-run, restart on the same journal —
-# the finished job's profile must come back byte-identical and every
-# interrupted job must complete byte-identical after recovery.
-go run ./scripts/crashsmoke -bin bin/teaserve
+# Server smokes, through `make smoke`, which builds bin/teaserve. The
+# server smoke boots a real teaserve on an ephemeral port with every
+# documented flag, drives each /v1 endpoint over TCP, checks the raw
+# profile bytes against an in-process analysis.RunProgram, and verifies
+# SIGTERM shuts it down cleanly (exit 0). The crash-recovery smoke boots
+# teaserve with a job journal, finishes one job, submits a batch,
+# SIGKILLs it mid-run and restarts on the same journal: the finished
+# job's profile must come back byte-identical and every interrupted job
+# must complete byte-identical after recovery. Running the Makefile's
+# recipes keeps the gate and the Makefile from drifting apart.
+make smoke
 
 # Chaos smoke: the fault-injection sweep with a fixed seed — every
 # fault kind against every technique; exits nonzero on any contract
