@@ -96,6 +96,25 @@ func (s *Sampler) Fires(cycle uint64) bool {
 // Interval returns the nominal sampling interval in cycles.
 func (s *Sampler) Interval() uint64 { return s.interval }
 
+// Next returns the cycle the sample clock fires at: Fires reports true
+// for the first cycle at or after it.
+func (s *Sampler) Next() uint64 { return s.next }
+
+// OnFirings delivers a run of n identical cycles from ci.Cycle on to a
+// per-cycle hook that does nothing unless s fires. It calls onCycle, at
+// ci.Cycle set to each cycle of the run at which s fires, and skips the
+// others, so Fires runs at each firing cycle and draws the same jitter
+// n per-cycle calls would; a run longer than an interval fires more
+// than once. onCycle must consult s.Fires; ci.Cycle is restored.
+func (s *Sampler) OnFirings(ci *cpu.CycleInfo, n uint64, onCycle func(*cpu.CycleInfo)) {
+	start, end := ci.Cycle, ci.Cycle+n
+	for c := max(start, s.Next()); c < end; c = max(c+1, s.Next()) {
+		ci.Cycle = c
+		onCycle(ci)
+	}
+	ci.Cycle = start
+}
+
 // Config configures a TEA unit.
 type Config struct {
 	// IntervalCycles is the nominal sampling period. The paper samples
@@ -139,10 +158,14 @@ const (
 	pendDrained
 )
 
+// pending is a sample waiting for the next commit. The golden
+// reference keeps a run of Stalled or Drained cycles as one entry that
+// stands for count cycles; a sampling unit's entries stand for one.
 type pending struct {
 	kind   pendingKind
 	cycle  uint64
 	weight float64
+	count  uint64
 }
 
 // TEA is the sampling unit. It implements cpu.Probe: attach it to a
@@ -209,6 +232,9 @@ func (t *TEA) Profile() *pics.Profile {
 // reference, which models an impossible 116 GB/s sample stream).
 func (t *TEA) Samples() []Sample { return t.samples }
 
+// Hooks implements cpu.HookUser.
+func (t *TEA) Hooks() cpu.Hooks { return cpu.HookCycle | cpu.HookCommit }
+
 // OnCycle implements the sample-selection unit: classify the commit
 // state and select the instruction(s) the core is exposing the latency
 // of (Section 3). Samples taken in the Stalled and Drained states are
@@ -248,9 +274,9 @@ func (t *TEA) OnCycle(ci *cpu.CycleInfo) {
 	case events.Stalled:
 		// The head µop commits next; its PSV may still gain events, so
 		// the sample is resolved at its commit.
-		t.pendings = append(t.pendings, pending{kind: pendStalled, cycle: ci.Cycle, weight: weight})
+		t.pendings = append(t.pendings, pending{kind: pendStalled, cycle: ci.Cycle, weight: weight, count: 1})
 	case events.Drained:
-		t.pendings = append(t.pendings, pending{kind: pendDrained, cycle: ci.Cycle, weight: weight})
+		t.pendings = append(t.pendings, pending{kind: pendDrained, cycle: ci.Cycle, weight: weight, count: 1})
 	case events.Flushed:
 		r := ci.LastCommitted
 		t.acc.Add(r.PC, r.PSV, weight)
@@ -262,6 +288,30 @@ func (t *TEA) OnCycle(ci *cpu.CycleInfo) {
 	}
 }
 
+// OnCycles implements cpu.RunProbe. A sampling unit steps its sample
+// clock to each firing cycle inside the run. The golden reference
+// attributes the whole run: a Flushed run with n in-order additions to
+// its one slot, a Stalled or Drained run as one pending entry of n
+// cycles.
+func (t *TEA) OnCycles(ci *cpu.CycleInfo, n uint64) {
+	if !t.cfg.EveryCycle {
+		t.sampler.OnFirings(ci, n, t.OnCycle)
+		return
+	}
+	switch ci.State {
+	case events.Stalled:
+		t.pendings = append(t.pendings, pending{kind: pendStalled, cycle: ci.Cycle, weight: 1, count: n})
+	case events.Drained:
+		t.pendings = append(t.pendings, pending{kind: pendDrained, cycle: ci.Cycle, weight: 1, count: n})
+	case events.Flushed:
+		r := ci.LastCommitted
+		t.acc.AddN(r.PC, r.PSV, 1, n)
+		t.SampleCnt += n
+	default:
+		cpu.EachCycle(ci, n, t.OnCycle)
+	}
+}
+
 // OnCommit resolves delayed Stalled/Drained samples against the first
 // committing µop (the next-committing instruction at sample time).
 func (t *TEA) OnCommit(r cpu.Ref, cycle uint64) {
@@ -269,7 +319,11 @@ func (t *TEA) OnCommit(r cpu.Ref, cycle uint64) {
 		return
 	}
 	for _, p := range t.pendings {
-		t.acc.Add(r.PC, r.PSV, p.weight)
+		t.acc.AddN(r.PC, r.PSV, p.weight, p.count)
+		if !t.keep {
+			t.SampleCnt += p.count
+			continue
+		}
 		state := events.Stalled
 		if p.kind == pendDrained {
 			state = events.Drained

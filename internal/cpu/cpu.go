@@ -45,7 +45,7 @@ type CPU struct {
 	stream *emu.Stream
 	hier   *mem.Hierarchy
 	bp     *branch.Predictor
-	probes []Probe
+	hooks  HookSet
 
 	cycle      uint64
 	rob        *rob
@@ -152,7 +152,7 @@ const (
 )
 
 // Attach registers a probe. All probes observe the same execution.
-func (c *CPU) Attach(p Probe) { c.probes = append(c.probes, p) }
+func (c *CPU) Attach(p Probe) { c.hooks.Add(p) }
 
 // Hierarchy exposes the memory system (for statistics).
 func (c *CPU) Hierarchy() *mem.Hierarchy { return c.hier }
@@ -178,7 +178,11 @@ func (c *CPU) RequestSampleOverhead() {
 // share a memory system; single-core callers use Run or RunContext.
 // When a guard trips (runaway cycle budget, commit watchdog), Step
 // latches a typed error — visible via Failure/Err — and returns false.
-func (c *CPU) Step() bool {
+func (c *CPU) Step() bool { return c.step(false) }
+
+// step advances the core by one cycle, or with runs set by a whole
+// quiet run (see quietRun), delivered to the probes in one call.
+func (c *CPU) step(runs bool) bool {
 	if c.err != nil || c.done() {
 		return false
 	}
@@ -204,10 +208,20 @@ func (c *CPU) Step() bool {
 	if c.cycle < c.quietUntil && len(c.info.Committed) == 0 {
 		// A quiet cycle: the pipeline is frozen and no stage but commit
 		// can act before quietUntil, so only commit runs and every probe
-		// still sees this cycle's OnCycle.
-		c.Stats.Cycles++
+		// still sees this cycle, alone or, with runs, as the first of a
+		// quiet run.
+		n := uint64(1)
+		if runs {
+			n = c.quietRun()
+		}
+		c.Stats.StateCycles[c.info.State] += n
+		c.hooks.Cycles(&c.info, n)
+		c.cycle += n - 1
+		c.Stats.Cycles += n
 		return true
 	}
+	c.Stats.StateCycles[c.info.State]++
+	c.hooks.Cycles(&c.info, 1)
 	c.acted = len(c.info.Committed) > 0
 	c.executeStage()
 	c.issueStage()
@@ -219,6 +233,30 @@ func (c *CPU) Step() bool {
 	}
 	c.Stats.Cycles++
 	return true
+}
+
+// quietRun returns how many cycles, from this quiet cycle on, repeat
+// its commit state and refs exactly. The run ends at the first cycle
+// that could differ: quietUntil, from which other stages may act; the
+// cycle the ROB head completes, when it commits; or the cycle at which
+// MaxCycles or the commit watchdog trips, so that each guard trips at
+// the cycle, and with the snapshot, that stepping one cycle at a time
+// gives. A head that has not completed completes only when a stage
+// acts, so not before quietUntil.
+func (c *CPU) quietRun() uint64 {
+	end := c.quietUntil
+	if !c.rob.empty() {
+		if h := c.rob.headUOp(); h.completed {
+			end = min(end, h.CompleteCycle)
+		}
+	}
+	if c.cfg.MaxCycles < end-1 {
+		end = c.cfg.MaxCycles + 1
+	}
+	if w := c.cfg.WatchdogCommitCycles; w < end-1-c.lastCommitCycle {
+		end = c.lastCommitCycle + w + 1
+	}
+	return end - c.cycle
 }
 
 // nextEvent returns the first cycle after this one at which a stage
@@ -302,11 +340,7 @@ func (c *CPU) nextEvent() uint64 {
 
 // Finish fires the probes' completion hooks; call it exactly once after
 // the last Step. Run does this automatically.
-func (c *CPU) Finish() {
-	for _, p := range c.probes {
-		p.OnDone(c.Stats.Cycles)
-	}
-}
+func (c *CPU) Finish() { c.hooks.Done(c.Stats.Cycles) }
 
 // Run simulates the program to completion and returns the statistics.
 // A guard failure (runaway, deadlock) panics with the typed
@@ -325,25 +359,28 @@ func (c *CPU) Run() *Stats {
 }
 
 // RunContext simulates the program to completion, honoring ctx
-// cancellation and deadlines, and returns the statistics. On failure —
+// cancellation and deadlines, and returns the statistics. Unless
+// SampleOverheadCycles is set, each quiet run advances in one step and
+// reaches the probes as one run (see quietRun and RunProbe), so a
+// sampling interrupt can never fall inside a run. On failure —
 // cancellation (simerr.ErrCanceled wrapping ctx.Err()), a runaway
 // program (simerr.ErrRunaway), or a commit-stage deadlock
 // (simerr.ErrDeadlock with a pipeline-state dump) — the probes'
 // completion hooks never fire, so no partial profile can be observed
 // downstream.
 func (c *CPU) RunContext(ctx context.Context) (*Stats, error) {
-	// The context is polled every ctxCheckInterval cycles: rarely enough
+	// The context is polled every ctxCheckInterval steps: rarely enough
 	// to stay off the hot path, often enough (microseconds of wall
 	// clock) that cancellation is prompt.
 	const ctxCheckInterval = 4096
-	for {
-		if c.cycle%ctxCheckInterval == 0 {
+	for steps := 0; ; steps++ {
+		if steps%ctxCheckInterval == 0 {
 			if cause := context.Cause(ctx); cause != nil {
 				c.err = simerr.Wrap(simerr.ErrCanceled, c.snapshot(), cause, "run canceled")
 				return &c.Stats, c.err
 			}
 		}
-		if !c.Step() {
+		if !c.step(c.SampleOverheadCycles == 0) {
 			break
 		}
 	}
@@ -456,11 +493,6 @@ func (c *CPU) commitStage() {
 			}
 		}
 	}
-
-	c.Stats.StateCycles[ci.State]++
-	for _, p := range c.probes {
-		p.OnCycle(ci)
-	}
 }
 
 func (c *CPU) commitUOp(u *UOp) {
@@ -479,10 +511,7 @@ func (c *CPU) commitUOp(u *UOp) {
 		c.blockDispatch = nil
 	}
 	c.stream.Release(u.Seq() + 1)
-	r := c.lastRef
-	for _, p := range c.probes {
-		p.OnCommit(r, c.cycle)
-	}
+	c.hooks.Commit(c.lastRef, c.cycle)
 }
 
 // retireUOp recycles a committed non-store µop's storage the cycle it
@@ -718,10 +747,7 @@ func (c *CPU) enterROB(u *UOp) {
 		c.lastWriter[d] = u
 	}
 	c.flushActive = false
-	r := u.Ref()
-	for _, p := range c.probes {
-		p.OnDispatch(r, c.cycle)
-	}
+	c.hooks.Dispatch(u.Ref(), c.cycle)
 }
 
 // lqOccupancy counts live load-queue entries.
@@ -848,10 +874,7 @@ func (c *CPU) fetchStage() {
 		c.fetchNext = nil
 		c.fetchBuf = append(c.fetchBuf, u)
 		budget--
-		r := u.Ref()
-		for _, p := range c.probes {
-			p.OnFetch(r, c.cycle)
-		}
+		c.hooks.Fetch(u.Ref(), c.cycle)
 		if u.Mispredicted {
 			// Wrong path: fetch stalls until the branch resolves and
 			// the front-end redirects.

@@ -214,18 +214,12 @@ func (c *CPU) squashYoungerThan(keep *UOp) {
 	for _, u := range removed {
 		u.squashed = true
 		c.Stats.Squashed++
-		r := u.Ref()
-		for _, p := range c.probes {
-			p.OnSquash(r, c.cycle)
-		}
+		c.hooks.Squash(u.Ref(), c.cycle)
 	}
 	for _, u := range c.fetchBuf {
 		u.squashed = true
 		c.Stats.Squashed++
-		r := u.Ref()
-		for _, p := range c.probes {
-			p.OnSquash(r, c.cycle)
-		}
+		c.hooks.Squash(u.Ref(), c.cycle)
 	}
 	c.fetchNext = nil
 

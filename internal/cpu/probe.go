@@ -59,9 +59,12 @@ type CycleInfo struct {
 // the evaluation methodology of Section 4 (multiple configurations
 // processed out-of-band from one trace). The same hooks fire, with the
 // same values, when a recorded trace is replayed offline
-// (internal/trace), so a probe cannot tell replay from a live run.
+// (internal/trace), so a probe cannot tell replay from a live run. A
+// probe may declare the hooks it uses (HookUser) and take runs of
+// identical cycles whole (RunProbe).
 type Probe interface {
-	// OnCycle fires once per cycle after the commit stage.
+	// OnCycle fires once per cycle after the commit stage, unless the
+	// probe takes the cycle as part of a run (RunProbe).
 	OnCycle(ci *CycleInfo)
 	// OnFetch fires when a µop is fetched (RIS tags here).
 	OnFetch(r Ref, cycle uint64)
@@ -96,3 +99,137 @@ func (BaseProbe) OnSquash(Ref, uint64) {}
 
 // OnDone implements Probe.
 func (BaseProbe) OnDone(uint64) {}
+
+// RunProbe is implemented by a probe that takes a run of identical
+// cycles in one call. OnCycles(ci, n) stands for the cycles ci.Cycle …
+// ci.Cycle+n-1, all with ci's state and refs, and must leave the probe
+// exactly as n OnCycle calls would. The core and the trace reader form
+// runs only of Stalled, Drained and Flushed cycles; a Compute cycle
+// always arrives alone.
+type RunProbe interface {
+	OnCycles(ci *CycleInfo, n uint64)
+}
+
+// Hooks is a set of probe hooks, for a probe to declare which ones it
+// uses. OnDone is not in the set: every probe receives it.
+type Hooks uint8
+
+// The hooks a probe can declare.
+const (
+	HookFetch Hooks = 1 << iota
+	HookDispatch
+	HookCommit
+	HookSquash
+	HookCycle
+	AllHooks = HookFetch | HookDispatch | HookCommit | HookSquash | HookCycle
+)
+
+// HookUser is implemented by a probe that uses only some hooks; the
+// others are never called on it. A probe without it receives every
+// hook.
+type HookUser interface {
+	Hooks() Hooks
+}
+
+// HookSet routes each hook to the probes that use it, in the order they
+// were added; the zero value has no probe. The optional HookUser and
+// RunProbe interfaces are resolved once, when a probe is added, never
+// per call. The core keeps one for its attached probes, and the trace
+// reader builds one per replay.
+type HookSet struct {
+	all                             []Probe
+	fetch, dispatch, commit, squash []Probe
+	cycle                           []Probe
+	// runs[i] is cycle[i]'s run hook, or nil when it takes cycles one
+	// at a time.
+	runs []RunProbe
+}
+
+// Add appends p to the receivers of each hook it uses.
+func (h *HookSet) Add(p Probe) {
+	uses := AllHooks
+	if u, ok := p.(HookUser); ok {
+		uses = u.Hooks()
+	}
+	h.all = append(h.all, p)
+	if uses&HookFetch != 0 {
+		h.fetch = append(h.fetch, p)
+	}
+	if uses&HookDispatch != 0 {
+		h.dispatch = append(h.dispatch, p)
+	}
+	if uses&HookCommit != 0 {
+		h.commit = append(h.commit, p)
+	}
+	if uses&HookSquash != 0 {
+		h.squash = append(h.squash, p)
+	}
+	if uses&HookCycle != 0 {
+		rp, _ := p.(RunProbe)
+		h.cycle = append(h.cycle, p)
+		h.runs = append(h.runs, rp)
+	}
+}
+
+// Fetch delivers OnFetch.
+func (h *HookSet) Fetch(r Ref, cycle uint64) {
+	for _, p := range h.fetch {
+		p.OnFetch(r, cycle)
+	}
+}
+
+// Dispatch delivers OnDispatch.
+func (h *HookSet) Dispatch(r Ref, cycle uint64) {
+	for _, p := range h.dispatch {
+		p.OnDispatch(r, cycle)
+	}
+}
+
+// Commit delivers OnCommit.
+func (h *HookSet) Commit(r Ref, cycle uint64) {
+	for _, p := range h.commit {
+		p.OnCommit(r, cycle)
+	}
+}
+
+// Squash delivers OnSquash.
+func (h *HookSet) Squash(r Ref, cycle uint64) {
+	for _, p := range h.squash {
+		p.OnSquash(r, cycle)
+	}
+}
+
+// Cycles delivers the run of n identical cycles starting at ci.Cycle:
+// one OnCycles call to a probe that has it, n OnCycle calls with the
+// cycle advancing to one that does not. ci is as it was on return.
+func (h *HookSet) Cycles(ci *CycleInfo, n uint64) {
+	for i, p := range h.cycle {
+		switch {
+		case n == 1:
+			p.OnCycle(ci)
+		case h.runs[i] != nil:
+			h.runs[i].OnCycles(ci, n)
+		default:
+			EachCycle(ci, n, p.OnCycle)
+		}
+	}
+}
+
+// Done delivers OnDone to every probe.
+func (h *HookSet) Done(totalCycles uint64) {
+	for _, p := range h.all {
+		p.OnDone(totalCycles)
+	}
+}
+
+// EachCycle calls onCycle once per cycle of the run of n identical
+// cycles starting at ci.Cycle, advancing ci.Cycle, and restores it. A
+// run probe uses it for the cycles its run path does not shortcut.
+func EachCycle(ci *CycleInfo, n uint64, onCycle func(*CycleInfo)) {
+	start := ci.Cycle
+	for k := uint64(0); k < n; k++ {
+		ci.Cycle = start + k
+		onCycle(ci)
+	}
+	ci.Cycle = start
+}

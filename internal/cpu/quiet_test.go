@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -13,12 +14,14 @@ import (
 // digestProbe folds every hook's arguments into a running digest and
 // keeps the digest as of each cycle's OnCycle, so two runs' records
 // first differ at the cycle where their hook streams diverge. Every
-// overheadEvery'th cycle it requests the sampling-interrupt stall.
+// overheadEvery'th cycle it requests the sampling-interrupt stall. It
+// expands each run it receives into per-cycle calls, counting the runs.
 type digestProbe struct {
 	c             *CPU
 	overheadEvery uint64
 	h             uint64
 	cycles        []uint64 // digest after OnCycle, indexed by cycle-1
+	runs          uint64   // OnCycles calls
 }
 
 func (p *digestProbe) mix(v uint64) { p.h = (p.h ^ v) * 0x100000001b3 }
@@ -49,6 +52,11 @@ func (p *digestProbe) OnCycle(ci *CycleInfo) {
 	}
 }
 
+func (p *digestProbe) OnCycles(ci *CycleInfo, n uint64) {
+	p.runs++
+	EachCycle(ci, n, p.OnCycle)
+}
+
 func (p *digestProbe) OnFetch(r Ref, cycle uint64)    { p.hook(1, r, cycle) }
 func (p *digestProbe) OnDispatch(r Ref, cycle uint64) { p.hook(2, r, cycle) }
 func (p *digestProbe) OnCommit(r Ref, cycle uint64)   { p.hook(3, r, cycle) }
@@ -77,9 +85,17 @@ type quietCase struct {
 	saturates string
 }
 
-// runQuiet runs a case through Step; fullStep resets quietUntil before
-// every Step, so all five stages run every cycle.
-func runQuiet(tc quietCase, fullStep bool) quietRun {
+// stepMode is how runQuiet drives the core.
+type stepMode int
+
+const (
+	quietStep stepMode = iota // Step: quiet cycles run the commit stage only
+	fullStep                  // Step with quietUntil reset: all five stages every cycle
+	runSteps                  // RunContext: a quiet run advances in one step
+)
+
+// runQuiet runs a case in the given mode.
+func runQuiet(tc quietCase, mode stepMode) quietRun {
 	cfg := DefaultConfig()
 	if tc.cfg != nil {
 		tc.cfg(&cfg)
@@ -89,20 +105,25 @@ func runQuiet(tc quietCase, fullStep bool) quietRun {
 	p := &digestProbe{c: c, overheadEvery: tc.overheadEvery, h: 0xcbf29ce484222325}
 	c.Attach(p)
 	var r quietRun
-	for {
-		if fullStep {
-			c.quietUntil = 0
+	if mode == runSteps {
+		_, _ = c.RunContext(context.Background())
+	} else {
+		for {
+			if mode == fullStep {
+				c.quietUntil = 0
+			}
+			if c.cycle+1 < c.quietUntil {
+				r.skipped++
+			}
+			if !c.Step() {
+				break
+			}
 		}
-		if c.cycle+1 < c.quietUntil {
-			r.skipped++
-		}
-		if !c.Step() {
-			break
+		if c.Failure() == nil {
+			c.Finish()
 		}
 	}
-	if r.err = c.Failure(); r.err == nil {
-		c.Finish()
-	} else {
+	if r.err = c.Failure(); r.err != nil {
 		r.failedQuiet = c.cycle < c.quietUntil
 	}
 	r.probe, r.stats = p, c.Stats
@@ -111,10 +132,12 @@ func runQuiet(tc quietCase, fullStep bool) quietRun {
 }
 
 // TestQuietSkipMatchesFullStep pins the next-event skip: running only
-// the commit stage until nextEvent's bound delivers exactly the probe
-// calls, statistics and guard failures of running every stage every
-// cycle. Besides the suite, kernels aim at each wait nextEvent reasons
-// about, and each must actually skip cycles.
+// the commit stage until nextEvent's bound, cycle by cycle or a whole
+// quiet run per step (RunContext), delivers exactly the probe calls,
+// statistics and guard failures of running every stage every cycle.
+// Besides the suite, kernels aim at each wait nextEvent reasons about,
+// and each must actually skip cycles and form runs, except that a run
+// never forms while sampling interrupts stall the core.
 func TestQuietSkipMatchesFullStep(t *testing.T) {
 	omnetpp, err := workloads.ByName("omnetpp")
 	if err != nil {
@@ -148,50 +171,67 @@ func TestQuietSkipMatchesFullStep(t *testing.T) {
 	for _, w := range workloads.All() {
 		cases = append(cases, quietCase{name: w.Name, prog: w.Build(max(1, w.DefaultIters/100))})
 	}
-	var skipped, cycles uint64
+	var skipped, cycles, runs uint64
 	for _, tc := range cases {
-		quiet, full := runQuiet(tc, false), runQuiet(tc, true)
+		full := runQuiet(tc, fullStep)
+		quiet, run := runQuiet(tc, quietStep), runQuiet(tc, runSteps)
 		skipped += quiet.skipped
 		cycles += quiet.stats.Cycles
-		if i := firstDiff(quiet.probe.cycles, full.probe.cycles); i >= 0 {
-			t.Errorf("%s: probe calls first differ at cycle %d", tc.name, i+1)
-		} else if quiet.probe.h != full.probe.h {
-			t.Errorf("%s: probe digests differ after the last cycle", tc.name)
-		}
-		if quiet.stats != full.stats {
-			t.Errorf("%s: stats differ:\n skip %+v\n full %+v", tc.name, quiet.stats, full.stats)
-		}
-		switch {
-		case tc.wantErr == nil && (quiet.err != nil || full.err != nil):
-			t.Errorf("%s: failed: skip %v, full %v", tc.name, quiet.err, full.err)
-		case tc.wantErr != nil && (!errors.Is(quiet.err, tc.wantErr) || !errors.Is(full.err, tc.wantErr)):
-			t.Errorf("%s: errors %v and %v, want %v", tc.name, quiet.err, full.err, tc.wantErr)
-		case tc.wantErr != nil && (quiet.err.Error() != full.err.Error() ||
-			quiet.err.Snap.Cycle != full.err.Snap.Cycle || quiet.err.Snap.Detail != full.err.Snap.Detail):
-			t.Errorf("%s: guard failures differ:\n skip %v at %d: %s\n full %v at %d: %s", tc.name,
-				quiet.err, quiet.err.Snap.Cycle, quiet.err.Snap.Detail,
-				full.err, full.err.Snap.Cycle, full.err.Snap.Detail)
-		case tc.wantErr != nil && !quiet.failedQuiet:
-			t.Errorf("%s: the guard tripped outside a quiet window", tc.name)
+		runs += run.probe.runs
+		for _, m := range []struct {
+			name string
+			r    quietRun
+		}{{"skip", quiet}, {"runs", run}} {
+			if i := firstDiff(m.r.probe.cycles, full.probe.cycles); i >= 0 {
+				t.Errorf("%s/%s: probe calls first differ at cycle %d", tc.name, m.name, i+1)
+			} else if m.r.probe.h != full.probe.h {
+				t.Errorf("%s/%s: probe digests differ after the last cycle", tc.name, m.name)
+			}
+			if m.r.stats != full.stats {
+				t.Errorf("%s: stats differ:\n %s %+v\n full %+v", tc.name, m.name, m.r.stats, full.stats)
+			}
+			switch q := m.r; {
+			case tc.wantErr == nil && (q.err != nil || full.err != nil):
+				t.Errorf("%s: failed: %s %v, full %v", tc.name, m.name, q.err, full.err)
+			case tc.wantErr != nil && (!errors.Is(q.err, tc.wantErr) || !errors.Is(full.err, tc.wantErr)):
+				t.Errorf("%s: errors %v (%s) and %v (full), want %v", tc.name, q.err, m.name, full.err, tc.wantErr)
+			case tc.wantErr != nil && (q.err.Error() != full.err.Error() ||
+				q.err.Snap.Cycle != full.err.Snap.Cycle || q.err.Snap.Detail != full.err.Snap.Detail):
+				t.Errorf("%s: guard failures differ:\n %s %v at %d: %s\n full %v at %d: %s", tc.name,
+					m.name, q.err, q.err.Snap.Cycle, q.err.Snap.Detail,
+					full.err, full.err.Snap.Cycle, full.err.Snap.Detail)
+			case tc.wantErr != nil && !q.failedQuiet:
+				t.Errorf("%s/%s: the guard tripped outside a quiet window", tc.name, m.name)
+			}
 		}
 		if quiet.skipped == 0 {
 			t.Errorf("%s: no cycle took the quiet path", tc.name)
+		}
+		if tc.overhead == 0 && run.probe.runs == 0 {
+			t.Errorf("%s: RunContext formed no run", tc.name)
+		}
+		if tc.overhead > 0 && run.probe.runs > 0 {
+			t.Errorf("%s: RunContext formed %d runs while sampling interrupts stall the core", tc.name, run.probe.runs)
 		}
 		if tc.saturates == "L1D" && full.l1dFull == 0 || tc.saturates == "LLC" && full.llcFull == 0 {
 			t.Errorf("%s: the %s's MSHRs never filled", tc.name, tc.saturates)
 		}
 	}
-	t.Logf("%d of %d cycles ran the commit stage only", skipped, cycles)
+	t.Logf("%d of %d cycles ran the commit stage only; RunContext delivered %d runs", skipped, cycles, runs)
 }
 
-// quietCycleAfter returns the first cycle, from the given one on, after
-// which p's run enters a quiet window: a MaxCycles of that cycle trips
-// inside a commit stall.
+// quietCycleAfter returns a cycle budget, from the given cycle on, that
+// runs out two cycles into a quiet run which would otherwise go on: a
+// MaxCycles of it trips inside a commit stall, and RunContext must cut
+// the run at the budget.
 func quietCycleAfter(p *program.Program, from uint64) uint64 {
 	c := New(DefaultConfig(), p)
 	for c.Step() {
-		if c.cycle >= from && c.cycle+1 < c.quietUntil {
-			return c.cycle
+		if c.cycle < from || c.cycle+4 >= c.quietUntil {
+			continue
+		}
+		if c.rob.empty() || !c.rob.headUOp().completed || c.rob.headUOp().CompleteCycle > c.cycle+4 {
+			return c.cycle + 2
 		}
 	}
 	return from

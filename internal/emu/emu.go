@@ -72,10 +72,13 @@ type Stream struct {
 	seq     uint64
 	done    bool
 
-	// buf holds generated but not yet released (committed) dynamic
-	// instructions; buf[0] has sequence number bufBase. cursor is the
-	// next buffered position to deliver.
+	// buf[head:] holds generated but not yet released (committed)
+	// dynamic instructions; buf[head] has sequence number bufBase.
+	// cursor is the next buffered position to deliver. Release only
+	// advances head; Next moves the live entries to the front when it
+	// appends at capacity, so a commit shifts no pointers.
 	buf     []*Inst
+	head    int
 	bufBase uint64
 	cursor  int
 
@@ -123,6 +126,11 @@ func (s *Stream) Next() *Inst {
 	if d == nil {
 		return nil
 	}
+	if len(s.buf) == cap(s.buf) && s.head > 0 {
+		n := copy(s.buf, s.buf[s.head:])
+		s.buf = s.buf[:n]
+		s.head = 0
+	}
 	s.buf = append(s.buf, d)
 	s.cursor = len(s.buf)
 	return d
@@ -132,12 +140,11 @@ func (s *Stream) Next() *Inst {
 // buffered instruction with sequence number seq. Instructions with
 // lower sequence numbers must not have been released yet.
 func (s *Stream) Rewind(seq uint64) {
-	if seq < s.bufBase || seq > s.bufBase+uint64(len(s.buf)) {
+	if end := s.bufBase + uint64(len(s.buf)-s.head); seq < s.bufBase || seq > end {
 		//tealint:ignore nakedpanic caller (the core) controls rewind targets; out-of-range is a simulator bug, recovered at API boundaries
-		panic(fmt.Sprintf("emu: rewind to seq %d outside buffer [%d,%d]",
-			seq, s.bufBase, s.bufBase+uint64(len(s.buf))))
+		panic(fmt.Sprintf("emu: rewind to seq %d outside buffer [%d,%d]", seq, s.bufBase, end))
 	}
-	s.cursor = int(seq - s.bufBase)
+	s.cursor = s.head + int(seq-s.bufBase)
 }
 
 // Release discards buffered instructions with sequence numbers below
@@ -147,14 +154,13 @@ func (s *Stream) Release(seq uint64) {
 		return
 	}
 	n := int(seq - s.bufBase)
-	if n > s.cursor {
+	if n > s.cursor-s.head {
 		//tealint:ignore nakedpanic commit order guarantees released seqs were delivered; violation is a simulator bug, recovered at API boundaries
 		panic(fmt.Sprintf("emu: releasing undelivered instructions (seq %d, cursor at %d)",
-			seq, s.bufBase+uint64(s.cursor)))
+			seq, s.bufBase+uint64(s.cursor-s.head)))
 	}
-	s.buf = append(s.buf[:0], s.buf[n:]...)
+	s.head += n
 	s.bufBase = seq
-	s.cursor -= n
 }
 
 // RecycleInst returns a released instruction record to the pool. The
@@ -199,7 +205,9 @@ func (s *Stream) step() *Inst {
 	s.seq++
 	next := s.pcIndex + 1
 
-	r := s.regs
+	// Every case reads its sources before wr writes the destination,
+	// so reading through the pointer sees the pre-instruction values.
+	r := &s.regs
 	switch in.Op {
 	case isa.OpNop:
 	case isa.OpAdd:

@@ -235,3 +235,50 @@ func TestHaltEndsStream(t *testing.T) {
 		t.Errorf("halt record malformed: %+v", insts[1])
 	}
 }
+
+// TestStreamBufferSequences drives Next, Rewind and Release through the
+// buffer's edge cases: a rewind after a partial release, a release of
+// everything delivered, and a rewind to the buffer's end. It runs long
+// enough that Next moves the live entries to the front at capacity,
+// and checks that every delivery carries the expected sequence number
+// and that a redelivery returns the same record.
+func TestStreamBufferSequences(t *testing.T) {
+	s := NewStream(sumLoop(400))
+	records := map[uint64]*Inst{}
+	deliver := func(want uint64) {
+		t.Helper()
+		d := s.Next()
+		if d == nil || d.Seq != want {
+			t.Fatalf("Next delivered %+v, want seq %d", d, want)
+		}
+		if prev, ok := records[want]; ok && prev != d {
+			t.Fatalf("seq %d redelivered a different record", want)
+		}
+		records[want] = d
+	}
+	var next, released uint64 // next seq to deliver; first unreleased seq
+	compacted := false
+	for round := 0; round < 80; round++ {
+		for range 5 + round%7 {
+			head := s.head
+			deliver(next)
+			next++
+			compacted = compacted || s.head < head
+		}
+		released += (next - released) / 2
+		s.Release(released)
+		s.Rewind(released)
+		for seq := released; seq < next; seq++ {
+			deliver(seq)
+		}
+		s.Rewind(next)
+		if round%5 == 4 {
+			released = next
+			s.Release(released)
+			s.Rewind(released)
+		}
+	}
+	if !compacted {
+		t.Error("Next never moved the live entries to the front of the buffer")
+	}
+}

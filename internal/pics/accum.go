@@ -56,23 +56,31 @@ func (a *Accum) home(pc uint64, tag uint32) int {
 
 // Add attributes w cycles to (pc, signature); the signature is masked
 // to the accumulator's event set.
-func (a *Accum) Add(pc uint64, sig events.PSV, w float64) {
+func (a *Accum) Add(pc uint64, sig events.PSV, w float64) { a.AddN(pc, sig, w, 1) }
+
+// AddN attributes w cycles to (pc, signature) n times over: one slot
+// lookup, then n additions of w in order, exactly what n Add calls do.
+// It never adds n·w once, which rounds differently when the slot
+// already holds fractions.
+func (a *Accum) AddN(pc uint64, sig events.PSV, w float64, n uint64) {
+	if n == 0 {
+		return
+	}
 	tag := uint32(sig.Mask(a.set)) + 1
 	mask := len(a.slots) - 1
-	for i := a.home(pc, tag); ; i = (i + 1) & mask {
-		s := &a.slots[i]
-		if s.tag == tag && s.pc == pc {
-			s.v += w
-			return
-		}
-		if s.tag == 0 {
-			s.pc, s.tag = pc, tag
-			s.v += w
-			a.used++
-			if 2*a.used > len(a.slots) {
-				a.grow()
-			}
-			return
+	i := a.home(pc, tag)
+	for a.slots[i].tag != 0 && (a.slots[i].tag != tag || a.slots[i].pc != pc) {
+		i = (i + 1) & mask
+	}
+	s := &a.slots[i]
+	for range n {
+		s.v += w
+	}
+	if s.tag == 0 {
+		s.pc, s.tag = pc, tag
+		a.used++
+		if 2*a.used > len(a.slots) {
+			a.grow()
 		}
 	}
 }

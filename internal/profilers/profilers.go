@@ -103,11 +103,27 @@ func newTagger(name string, point TagPoint, set events.Set, interval, jitter, se
 // Profile returns the technique's PICS.
 func (f *FrontEndTagger) Profile() *pics.Profile { return f.profile }
 
+// Hooks implements cpu.HookUser: the tagger tags at its tag point and
+// tracks the tagged instruction to its commit or squash.
+func (f *FrontEndTagger) Hooks() cpu.Hooks {
+	tag := cpu.HookDispatch
+	if f.point == TagFetch {
+		tag = cpu.HookFetch
+	}
+	return tag | cpu.HookCycle | cpu.HookCommit | cpu.HookSquash
+}
+
 // OnCycle arms the tagger at each sample point.
 func (f *FrontEndTagger) OnCycle(ci *cpu.CycleInfo) {
 	if f.sampler.Fires(ci.Cycle) {
 		f.armed = true
 	}
+}
+
+// OnCycles implements cpu.RunProbe: the tagger acts only at the run's
+// sample points.
+func (f *FrontEndTagger) OnCycles(ci *cpu.CycleInfo, n uint64) {
+	f.sampler.OnFirings(ci, n, f.OnCycle)
 }
 
 // OnFetch tags at fetch for RIS. The tag is the sequence number: it is
@@ -178,6 +194,9 @@ func NewNCITEA(interval, jitter, seed uint64) *NCITEA {
 // Profile returns the technique's PICS.
 func (n *NCITEA) Profile() *pics.Profile { return n.profile }
 
+// Hooks implements cpu.HookUser.
+func (n *NCITEA) Hooks() cpu.Hooks { return cpu.HookCycle | cpu.HookCommit }
+
 // OnCycle attributes Compute samples to the oldest committing µop and
 // defers every other state to the next commit.
 func (n *NCITEA) OnCycle(ci *cpu.CycleInfo) {
@@ -192,6 +211,12 @@ func (n *NCITEA) OnCycle(ci *cpu.CycleInfo) {
 	}
 	// Stalled, Drained, and crucially also Flushed: next commit.
 	n.pending += w
+}
+
+// OnCycles implements cpu.RunProbe: NCI-TEA acts only at the run's
+// sample points.
+func (n *NCITEA) OnCycles(ci *cpu.CycleInfo, k uint64) {
+	n.sampler.OnFirings(ci, k, n.OnCycle)
 }
 
 // OnCommit resolves deferred samples.
@@ -220,6 +245,9 @@ type Counters struct {
 func NewCounters() *Counters {
 	return &Counters{Counts: make(map[uint64]*[events.NumEvents]uint64)}
 }
+
+// Hooks implements cpu.HookUser.
+func (c *Counters) Hooks() cpu.Hooks { return cpu.HookCommit }
 
 // OnCommit counts the committed instruction's events.
 func (c *Counters) OnCommit(r cpu.Ref, cycle uint64) {
@@ -260,6 +288,9 @@ type EventStats struct {
 
 // NewEventStats builds the probe.
 func NewEventStats() *EventStats { return &EventStats{} }
+
+// Hooks implements cpu.HookUser.
+func (s *EventStats) Hooks() cpu.Hooks { return cpu.HookCommit }
 
 // OnCommit classifies the committed instruction's signature.
 func (s *EventStats) OnCommit(r cpu.Ref, cycle uint64) {
@@ -305,8 +336,15 @@ type StallProbe struct {
 // NewStallProbe builds the probe.
 func NewStallProbe() *StallProbe { return &StallProbe{} }
 
+// Hooks implements cpu.HookUser.
+func (s *StallProbe) Hooks() cpu.Hooks { return cpu.HookCycle | cpu.HookCommit }
+
 // OnCycle accumulates consecutive Stalled cycles per head µop.
-func (s *StallProbe) OnCycle(ci *cpu.CycleInfo) {
+func (s *StallProbe) OnCycle(ci *cpu.CycleInfo) { s.OnCycles(ci, 1) }
+
+// OnCycles implements cpu.RunProbe: a run of n Stalled cycles adds n
+// to the head's stall length.
+func (s *StallProbe) OnCycles(ci *cpu.CycleInfo, n uint64) {
 	if ci.State == events.Stalled {
 		if !s.haveCur || s.currentSeq != ci.Head.Seq {
 			s.flush()
@@ -314,7 +352,7 @@ func (s *StallProbe) OnCycle(ci *cpu.CycleInfo) {
 			s.currentSeq = ci.Head.Seq
 			s.currentPSV = 0
 		}
-		s.currentStall++
+		s.currentStall += n
 		return
 	}
 	s.flush()

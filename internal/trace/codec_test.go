@@ -166,7 +166,8 @@ func TestScanStatsRejectsNonCanonical(t *testing.T) {
 }
 
 // splitAt closes w's current block after w has taken the given cycle's
-// record; attached after w, it sees each cycle once w has.
+// record; attached after w, it sees each cycle once w has (and, when
+// replay delivers the cycle inside a run, once w has taken the run).
 type splitAt struct {
 	cpu.BaseProbe
 	w     *Writer

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/profilers"
 	"repro/internal/simerr"
 	"repro/internal/workloads"
 )
@@ -29,9 +30,24 @@ func fuzzCapture(f *testing.F) []byte {
 	return buf.Bytes()
 }
 
+// perCycle hides its probe's run hook and hook set, so replay delivers
+// every hook to it, and every cycle one OnCycle call at a time.
+type perCycle struct{ p cpu.Probe }
+
+func (w perCycle) OnCycle(ci *cpu.CycleInfo)          { w.p.OnCycle(ci) }
+func (w perCycle) OnFetch(r cpu.Ref, cycle uint64)    { w.p.OnFetch(r, cycle) }
+func (w perCycle) OnDispatch(r cpu.Ref, cycle uint64) { w.p.OnDispatch(r, cycle) }
+func (w perCycle) OnCommit(r cpu.Ref, cycle uint64)   { w.p.OnCommit(r, cycle) }
+func (w perCycle) OnSquash(r cpu.Ref, cycle uint64)   { w.p.OnSquash(r, cycle) }
+func (w perCycle) OnDone(total uint64)                { w.p.OnDone(total) }
+
 // FuzzReplay feeds arbitrary bytes to the trace reader: it must reject
 // or cleanly error on malformed input — always a typed decode or
-// cancellation error, never a panic.
+// cancellation error, never a panic. The replay goes to probes on each
+// delivery path: golden, a sampled TEA, IBS and the stall probe take
+// runs and receive only their hooks, and a twin golden and TEA take
+// every hook one cycle at a time. A replay that succeeds must leave
+// each twin with the profile and sample count of its run-path probe.
 func FuzzReplay(f *testing.F) {
 	valid := fuzzCapture(f)
 	f.Add(valid)
@@ -97,18 +113,31 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte("TEAT\x03\x05\x01\x00"))
 	f.Add([]byte{})
 
+	teaCfg := core.DefaultConfig()
+	teaCfg.IntervalCycles, teaCfg.JitterCycles = 64, 8
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g := core.NewGolden(nil)
-		_, err := ReplayBytes(context.Background(), data, g)
-		if err != nil && !errors.Is(err, simerr.ErrDecode) {
-			t.Fatalf("replay error is not a typed decode error: %v", err)
+		g, g1 := core.NewGolden(nil), core.NewGolden(nil)
+		tea, tea1 := core.NewTEA(nil, teaCfg), core.NewTEA(nil, teaCfg)
+		_, err := ReplayBytes(context.Background(), data, g, tea,
+			profilers.NewIBS(64, 8, 2), profilers.NewStallProbe(), perCycle{g1}, perCycle{tea1})
+		if err != nil {
+			if !errors.Is(err, simerr.ErrDecode) {
+				t.Fatalf("replay error is not a typed decode error: %v", err)
+			}
+			return
+		}
+		for _, twin := range [][2]*core.TEA{{g, g1}, {tea, tea1}} {
+			var a, b bytes.Buffer
+			if err := twin[0].Profile().WriteJSON(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin[1].Profile().WriteJSON(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) || twin[0].SampleCnt != twin[1].SampleCnt {
+				t.Fatalf("run delivery and per-cycle delivery disagree: %d vs %d samples",
+					twin[0].SampleCnt, twin[1].SampleCnt)
+			}
 		}
 	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -437,6 +437,62 @@ func (t *Writer) OnCycle(ci *cpu.CycleInfo) {
 	t.endRecord(recCycle, lb)
 }
 
+// OnCycles implements cpu.RunProbe. The run's first record is
+// OnCycle's; every later one is identical to it in delta space (cycle
+// delta 1, the same state, a zero seq delta), so the run's records are
+// appended without a call per cycle, and the block closes exactly where
+// endRecord would close it. The digest still folds every record.
+func (t *Writer) OnCycles(ci *cpu.CycleInfo, n uint64) {
+	if ci.State == events.Compute {
+		cpu.EachCycle(ci, n, t.OnCycle)
+		return
+	}
+	t.OnCycle(ci)
+	state := uint64(ci.State)
+	var seq uint64
+	hasSeq := ci.State != events.Drained
+	switch ci.State {
+	case events.Stalled:
+		seq = ci.Head.Seq
+	case events.Flushed:
+		seq = ci.LastCommitted.Seq
+	}
+	fp := mix(mix(mix(mix(digestOffset, recCycle), 1), state), 0)
+	lb := uint64(3) // kind byte + state byte + cycle delta 1
+	if hasSeq {
+		lb++ // seq delta 0
+	}
+	h := t.digest
+	cycle := ci.Cycle
+	for rem := n - 1; rem > 0; {
+		m := min(rem, uint64(blockRecords-len(t.kinds)))
+		ls := uint32(len(t.lists))
+		for range m {
+			cycle++
+			t.kinds = append(t.kinds, recCycle)
+			t.dCyc = append(t.dCyc, 1)
+			t.opA = append(t.opA, state)
+			t.opB = append(t.opB, 0)
+			t.listStart = append(t.listStart, ls)
+			t.fps = append(t.fps, fp)
+			h = mix(mix(mix(h, recCycle), cycle), state)
+			if hasSeq {
+				h = mix(h, seq)
+			}
+		}
+		t.c.Records += m
+		t.c.KindRecords[recCycle-1] += m
+		t.c.KindBytes[recCycle-1] += m * lb
+		t.c.LogicalBytes += m * lb
+		if len(t.kinds) >= blockRecords {
+			t.flushBlock()
+		}
+		rem -= m
+	}
+	t.digest = h
+	t.lastCycle = cycle
+}
+
 // OnDone implements cpu.Probe and finalizes the stream: any buffered
 // block is serialized, then the done section carries the total cycle
 // count and the integrity digest over everything recorded before it.
